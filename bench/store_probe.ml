@@ -40,7 +40,7 @@ module Boxed = struct
 
   let init_key t k =
     Hashtbl.replace t.tbl k
-      (ref [ { value = "init:" ^ string_of_int k; vc = t.zero; writer = Ids.genesis } ]);
+      (ref [ { value = Ids.boot_value k; vc = t.zero; writer = Ids.genesis } ]);
     t.key_seq <- k :: t.key_seq
 
   let install t k ~value ~vc ~writer =
@@ -170,7 +170,7 @@ let () =
     let s = Mvstore.create ~nodes in
     Mvstore.reserve s keys;
     for k = 0 to keys - 1 do
-      Mvstore.init_key s k ~value:("init:" ^ string_of_int k)
+      Mvstore.init_key s k ~value:(Ids.boot_value k)
     done;
     let t0 = (Unix.gettimeofday () [@wallclock_ok]) in
     replay
@@ -217,7 +217,7 @@ let () =
   let s = Mvstore.create ~nodes in
   Mvstore.reserve s keys;
   for k = 0 to keys - 1 do
-    Mvstore.init_key s k ~value:("init:" ^ string_of_int k)
+    Mvstore.init_key s k ~value:(Ids.boot_value k)
   done;
   let al = live_words () - base in
   let mem = Mvstore.mem_words s in

@@ -36,7 +36,7 @@ type handle = Client.handle
 
 val create : Sss_sim.Sim.t -> Config.t -> cluster
 (** Build a cluster: nodes, network, replica placement, and pre-populated
-    keys ([0 .. total_keys-1], each initialised to ["init:<k>"]). *)
+    keys ([0 .. total_keys-1], each initialised to {!Ids.boot_value}). *)
 
 val begin_txn : cluster -> node:Ids.node -> read_only:bool -> handle
 (** Start a transaction whose client is colocated with [node].  SSS

@@ -325,6 +325,43 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
     end
   end
 
+(* Lock accounting, balanced by construction: [lock.acquire] counts each
+   grant of [Locks.acquire_all] that left locks held, [lock.release] the
+   release of such a grant — a partial set freed under a failed or cut-short
+   acquisition counts neither.  Only the live record counts: a crash counts
+   the grants it drops ([crash_node]), and the stale record's fibers count
+   nothing afterwards. *)
+let acquire_locks t node txn ~exclusive ~shared =
+  let ok =
+    Locks.acquire_all node.locks txn ~exclusive ~shared ~timeout:t.config.Config.lock_timeout
+  in
+  (match t.obs with
+  | Some o when ok && node_live t node && Locks.granted node.locks txn ->
+      Sss_obs.Obs.incr o "lock.acquire";
+      Sss_obs.Obs.emit o ~at:(now t)
+        (Sss_obs.Obs.Lock_acquire
+           {
+             txn = Ids.txn_to_string txn;
+             node = node.id;
+             keys = List.length exclusive + List.length shared;
+           })
+  | _ -> ());
+  ok
+
+let count_release t node txn =
+  match t.obs with
+  | Some o ->
+      Sss_obs.Obs.incr o "lock.release";
+      Sss_obs.Obs.emit o ~at:(now t)
+        (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
+  | None -> ()
+
+let release_locks t node txn =
+  (match t.obs with
+  | Some _ when node_live t node && Locks.granted node.locks txn -> count_release t node txn
+  | _ -> ());
+  Locks.release_txn node.locks txn
+
 (* Alg. 2 lines 29-36 fused with Alg. 3: commit ready transactions from the
    head of the CommitQ in the order of this node's clock entry, making the
    apply and the snapshot-queue insertion atomic (no window in which the
@@ -364,13 +401,7 @@ let rec try_drain t node =
             (fun (k, _) -> Mvstore.truncate node.store k ~keep:t.config.Config.chain_keep)
             prep.ws_local);
       Commitq.remove node.commitq txn;
-      Locks.release_txn node.locks txn;
-      (match t.obs with
-      | Some o ->
-          Sss_obs.Obs.incr o "lock.release";
-          Sss_obs.Obs.emit o ~at:(now t)
-            (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
-      | None -> ());
+      release_locks t node txn;
       Sim.Cond.broadcast t.sim node.nlog_changed;
       Sim.Cond.broadcast t.sim node.squeue_changed;
       (* Logged in the same event as the apply: redo either replays the
@@ -458,7 +489,7 @@ let handle_decide t node ~txn ~vc ~outcome =
            the abort from the coordinator. *)
         ignore (log node (SAborted { a_txn = txn }) : int option);
         Commitq.remove node.commitq txn;
-        Locks.release_txn node.locks txn;
+        release_locks t node txn;
         try_drain t node;
         Sim.Cond.broadcast t.sim node.nlog_changed
       end
@@ -474,7 +505,7 @@ let handle_decide t node ~txn ~vc ~outcome =
           Sim.Cond.broadcast t.sim node.nlog_changed
         end
         else begin
-          Locks.release_txn node.locks txn;
+          release_locks t node txn;
           Hashtbl.remove node.prepared txn;
           drop_parked_stamp t node txn;
           (* read-only participant: retire the prepared entry durably *)
@@ -484,7 +515,7 @@ let handle_decide t node ~txn ~vc ~outcome =
       else begin
         ignore (log node (SAborted { a_txn = txn }) : int option);
         Commitq.remove node.commitq txn;
-        Locks.release_txn node.locks txn;
+        release_locks t node txn;
         Hashtbl.remove node.prepared txn;
         drop_parked_stamp t node txn;
         try_drain t node;
@@ -558,9 +589,8 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   let local_ws = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) ws in
   let got_locks =
     (not (was_abort_decided node txn))
-    && Locks.acquire_all node.locks txn
-         ~exclusive:(List.map fst local_ws)
-         ~shared:(List.map fst local_rs) ~timeout:t.config.lock_timeout
+    && acquire_locks t node txn ~exclusive:(List.map fst local_ws)
+         ~shared:(List.map fst local_rs)
   in
   (* The coordinator's vote timeout can beat a lock wait: its Decide(abort)
      then overtakes this very Prepare.  A late success here would strand an
@@ -574,28 +604,11 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
     && node_live t node
   in
   if not ok then begin
-    Locks.release_txn node.locks txn;
-    (match t.obs with
-    | Some o when got_locks ->
-        Sss_obs.Obs.incr o "lock.release";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
-    | _ -> ());
+    release_locks t node txn;
     if node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = false; vc })
   end
   else begin
-    (match t.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "lock.acquire";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Lock_acquire
-             {
-               txn = Ids.txn_to_string txn;
-               node = node.id;
-               keys = List.length local_ws + List.length local_rs;
-             })
-    | None -> ());
     let prep_vc =
       if local_ws <> [] then begin
         let vc = bump_local t node in
@@ -822,6 +835,13 @@ let crash_node t id =
   if t.config.Config.durability then begin
     let old = t.nodes.(id) in
     old.alive <- false;
+    (* the crash drops every lock the old record held *)
+    (match t.obs with
+    | Some _ ->
+        List.iter
+          (fun txn -> if Locks.granted old.locks txn then count_release t old txn)
+          (Locks.holders old.locks)
+    | None -> ());
     (match old.wal with Some w -> Sss_storage.Storage.crash w | None -> ());
     let exn = Sss_net.Rpc.Crashed { system = "sss"; node = id } in
     Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
@@ -852,11 +872,7 @@ let crash_node t id =
     let fresh = make_node ~gen:old.gen t.sim ~nodes:t.config.Config.nodes ~id in
     fresh.alive <- false;
     fresh.wal <- old.wal;
-    let ks = Replication.keys_at t.repl id in
-    Mvstore.reserve fresh.store (Array.length ks);
-    Array.iter
-      (fun k -> Mvstore.init_key fresh.store k ~value:(Printf.sprintf "init:%d" k))
-      ks;
+    Mvstore.init_keys fresh.store (Replication.keys_at t.repl id);
     t.nodes.(id) <- fresh;
     Sss_net.Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)
   end
@@ -880,10 +896,8 @@ let restart_node t id =
                   match p.final_vc with
                   | None ->
                       ignore
-                        (Locks.acquire_all node.locks txn
-                           ~exclusive:(List.map fst p.ws_local)
+                        (acquire_locks t node txn ~exclusive:(List.map fst p.ws_local)
                            ~shared:(List.map fst p.rs_local)
-                           ~timeout:t.config.Config.lock_timeout
                           : bool)
                   | Some fvc ->
                       let sid = Vclock.get fvc node.id in

@@ -418,14 +418,7 @@ let create sim (config : Config.t) =
                done))
   | None -> ());
   (* Pre-populate every key on its replicas with a genesis version. *)
-  Array.iter
-    (fun node ->
-      let ks = Replication.keys_at repl node.id in
-      Mvstore.reserve node.store (Array.length ks);
-      Array.iter
-        (fun k -> Mvstore.init_key node.store k ~value:(Printf.sprintf "init:%d" k))
-        ks)
-    nodes;
+  Array.iter (fun node -> Mvstore.init_keys node.store (Replication.keys_at repl node.id)) nodes;
   let rel =
     Reliable.create sim net
       ~retry:

@@ -6,6 +6,8 @@ type txn = { node : node; local : int }
 
 let genesis = { node = -1; local = 0 }
 
+let boot_value k = "init:" ^ string_of_int k
+
 let compare_txn a b =
   let c = Int.compare a.node b.node in
   if c <> 0 then c else Int.compare a.local b.local

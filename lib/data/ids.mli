@@ -14,6 +14,11 @@ type txn = { node : node; local : int }
 val genesis : txn
 (** Pseudo-transaction that wrote the initial version of every key. *)
 
+val boot_value : key -> string
+(** The value {!genesis} wrote to the key: ["init:<key>"].  The single
+    definition every protocol's boot and crash-rebuild paths use, and the
+    value {!Mvstore} derives for implicit genesis versions. *)
+
 val compare_txn : txn -> txn -> int
 (** Total order: by node, then local sequence number. *)
 

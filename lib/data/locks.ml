@@ -4,10 +4,14 @@ type mode = Shared | Exclusive
 
 type state = { mutable ex : Ids.txn option; mutable sh : Ids.txn list }
 
+(* A holder's keys, and whether a successful [acquire_all] granted them
+   (false while the holder is still part-way through one). *)
+type holding = { mutable keys : Ids.key list; mutable granted : bool }
+
 type t = {
   sim : Sim.t;
   table : (Ids.key, state) Hashtbl.t;
-  held : (Ids.txn, Ids.key list ref) Hashtbl.t;
+  held : (Ids.txn, holding) Hashtbl.t;
   changed : Sim.Cond.t;
 }
 
@@ -23,15 +27,15 @@ let state t k =
       s
 
 let note_held t txn k =
-  let keys =
+  let h =
     match Hashtbl.find_opt t.held txn with
-    | Some r -> r
+    | Some h -> h
     | None ->
-        let r = ref [] in
-        Hashtbl.replace t.held txn r;
-        r
+        let h = { keys = []; granted = false } in
+        Hashtbl.replace t.held txn h;
+        h
   in
-  if not (List.mem k !keys) then keys := k :: !keys
+  if not (List.mem k h.keys) then h.keys <- k :: h.keys
 
 let same = Ids.equal_txn
 
@@ -71,8 +75,8 @@ let release_key t txn k =
 let release_txn t txn =
   (match Hashtbl.find_opt t.held txn with
   | None -> ()
-  | Some keys ->
-      List.iter (release_key t txn) !keys;
+  | Some h ->
+      List.iter (release_key t txn) h.keys;
       Hashtbl.remove t.held txn);
   Sim.Cond.broadcast t.sim t.changed
 
@@ -83,8 +87,12 @@ let acquire_all t txn ~exclusive ~shared ~timeout =
     | k :: rest -> acquire t txn mode k ~timeout && go mode rest
   in
   let ok = go Exclusive (sorted exclusive) && go Shared (sorted shared) in
-  if not ok then release_txn t txn;
+  if ok then (match Hashtbl.find_opt t.held txn with Some h -> h.granted <- true | None -> ())
+  else release_txn t txn;
   ok
+
+let granted t txn =
+  match Hashtbl.find_opt t.held txn with Some h -> h.granted | None -> false
 
 let holds_exclusive t txn k =
   match Hashtbl.find_opt t.table k with
@@ -102,6 +110,9 @@ let is_free t k =
   | Some s -> s.ex = None && s.sh = []
 
 let locked_keys t txn =
-  match Hashtbl.find_opt t.held txn with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.held txn with Some h -> h.keys | None -> []
 
 let holder_count t = Hashtbl.length t.held
+
+let holders t =
+  List.sort Ids.compare_txn (Hashtbl.fold (fun txn _ acc -> txn :: acc) t.held [] [@order_ok])

@@ -28,6 +28,12 @@ val acquire_all :
 val release_txn : t -> Ids.txn -> unit
 (** Release everything the transaction holds and wake waiters. *)
 
+val granted : t -> Ids.txn -> bool
+(** Whether the transaction holds locks granted by a successful
+    {!acquire_all} (false while it is still part-way through one, and once
+    {!release_txn} freed them).  Lock accounting counts exactly these
+    grants and their releases, so the two balance. *)
+
 val holds_exclusive : t -> Ids.txn -> Ids.key -> bool
 (** Whether the transaction holds the exclusive lock on the key. *)
 
@@ -43,3 +49,6 @@ val locked_keys : t -> Ids.txn -> Ids.key list
 val holder_count : t -> int
 (** Number of transactions currently holding at least one lock (used by
     quiescence checks in tests). *)
+
+val holders : t -> Ids.txn list
+(** Transactions currently holding at least one lock, sorted. *)

@@ -22,9 +22,10 @@
      cell stays — sparse-change neighbours compress, scattered ones never
      cost more than a full clock.  [select]/[truncate_covered] decode
      newest-first into the single [scratch] clock — no per-read allocation.
-   - A genesis version whose value is the boot default ["init:<key>"] is
-     fully implicit: one state byte per key, value derived on demand.
-     Chains therefore cost 0 slots until first written.
+   - A genesis version whose value is the boot default [Ids.boot_value]
+     (["init:<key>"]) is fully implicit: one state byte per key, value
+     derived on demand.  Chains therefore cost 0 slots until first written,
+     and [init_keys] boots a node's keys without building any string.
 
    Chains only ever change by head-prepend ([install]), suffix-drop
    ([truncate]/[truncate_covered]) or whole-chain replace ([restore_chain]),
@@ -44,7 +45,7 @@ let gslot h = -2 - h
 let ghandle s = -2 - s
 
 (* g_state bytes *)
-let g_derived = '\000' (* implicit genesis present, value = "init:<key>" *)
+let g_derived = '\000' (* implicit genesis present, value = Ids.boot_value key *)
 
 let g_custom_v = '\001' (* implicit genesis present, value in [g_custom] *)
 
@@ -150,8 +151,6 @@ let create ~nodes =
 (* words a string of [len] bytes occupies on the heap (header + padded data) *)
 let str_words len = 1 + ((len + 8) / 8)
 
-let derived_value k = "init:" ^ string_of_int k
-
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
 (* ---- key -> handle map ---- *)
@@ -246,9 +245,9 @@ let grow_da t need =
   t.da <- n
 
 (* Pre-size the key index for [n] keys: exact dense arrays, next
-   power-of-two map under the 3/4 load cap.  The boot path knows each
-   node's replica count, and doubling slack on 1M-key clusters would
-   otherwise dominate [mem_words]. *)
+   power-of-two map under the 3/4 load cap.  [init_keys] knows the final
+   count, and doubling slack on 1M-key clusters would otherwise dominate
+   [mem_words]. *)
 let reserve t n =
   if n > Array.length t.key_of then begin
     let nk = Array.make n (-1) and nh = Array.make n (-1) in
@@ -383,7 +382,7 @@ let slot_value t s =
   else begin
     let h = ghandle s in
     if Bytes.get t.g_state h = g_custom_v then Hashtbl.find t.g_custom h
-    else derived_value t.key_of.(h)
+    else Ids.boot_value t.key_of.(h)
   end
 
 let slot_writer t s = if s >= 0 then Ids.unpack t.v_writer.(s) else Ids.genesis
@@ -452,7 +451,7 @@ let chain t k =
 let init_key t k ~value =
   if hmap_find t k < 0 then begin
     let h = new_handle t k in
-    if String.equal value (derived_value k) then Bytes.set t.g_state h g_derived
+    if String.equal value (Ids.boot_value k) then Bytes.set t.g_state h g_derived
     else begin
       Bytes.set t.g_state h g_custom_v;
       Hashtbl.replace t.g_custom h value;
@@ -460,6 +459,23 @@ let init_key t k ~value =
     end;
     t.total <- t.total + 1
   end
+
+(* The boot path: [init_key ~value:(Ids.boot_value k)] over [keys] after one
+   [reserve], minus the value string and its comparison — a boot-default
+   genesis is a state byte.  Handles follow array order, as the loop's.
+   Only entries not yet present count towards the reservation, so a repeat
+   call changes nothing at all. *)
+let init_keys t keys =
+  let fresh = Array.fold_left (fun n k -> if hmap_find t k < 0 then n + 1 else n) 0 keys in
+  reserve t (t.nkeys + fresh);
+  Array.iter
+    (fun k ->
+      if hmap_find t k < 0 then begin
+        let h = new_handle t k in
+        Bytes.set t.g_state h g_derived;
+        t.total <- t.total + 1
+      end)
+    keys
 
 let alloc_slot t =
   if t.free_slot >= 0 then begin
@@ -702,7 +718,7 @@ let restore_chain t k versions =
       done;
       t.head.(h) <- !prev;
       if implicit_genesis then begin
-        if String.equal oldest.value (derived_value k) then
+        if String.equal oldest.value (Ids.boot_value k) then
           Bytes.set t.g_state h g_derived
         else begin
           Bytes.set t.g_state h g_custom_v;

@@ -46,13 +46,24 @@ val create : nodes:int -> t
     the clock size of genesis versions). *)
 
 val reserve : t -> int -> unit
-(** [reserve t n] pre-sizes the key index for [n] keys (exact dense
-    arrays, minimal hash capacity), avoiding growth-doubling slack.  The
-    boot path calls it with the node's replica count before the
-    {!init_key} loop; purely an allocation hint — never required. *)
+(** [reserve t n] pre-sizes the key index for [n] keys in total (exact
+    dense arrays, minimal hash capacity), avoiding growth-doubling slack.
+    {!init_keys} calls it once for its whole batch; callers installing keys
+    one by one through {!init_key} may call it first.  Purely an allocation
+    hint — never required. *)
 
 val init_key : t -> Ids.key -> value:string -> unit
 (** Install the genesis version for [key]. Idempotent. *)
+
+val init_keys : t -> Ids.key array -> unit
+(** The boot path: install the boot-default genesis version
+    ({!Ids.boot_value}) for every key of the array.  Leaves the store
+    exactly as [reserve t (chains t + n)], with [n] the number of entries
+    whose key is not yet present, followed by
+    [init_key t k ~value:(Ids.boot_value k)] for each [k] in array order
+    would (same handles, same capacities), but builds and compares no
+    string.  Keys already present are left as they are; a repeat call
+    changes nothing. *)
 
 val mem : t -> Ids.key -> bool
 (** Whether [key] has been initialised (holds at least its genesis

@@ -13,18 +13,30 @@ let hash_key k =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 8)
 
+(* Two-pass counting sort: count each node's replicas, allocate exact-size
+   arrays, then fill them in ascending key order (a node appears at most
+   once among a key's [degree] consecutive replicas). *)
 let create ~nodes ~degree ~total_keys =
   if degree < 1 || degree > nodes then
     invalid_arg "Replication.create: degree must be within 1 .. nodes";
   let base = Array.init total_keys (fun k -> hash_key k mod nodes) in
-  let buckets = Array.make nodes [] in
-  for k = total_keys - 1 downto 0 do
+  let fill = Array.make nodes 0 in
+  for k = 0 to total_keys - 1 do
     for j = 0 to degree - 1 do
       let n = (base.(k) + j) mod nodes in
-      buckets.(n) <- k :: buckets.(n)
+      fill.(n) <- fill.(n) + 1
     done
   done;
-  { nodes; degree; total_keys; base; at = Array.map Array.of_list buckets }
+  let at = Array.map (fun c -> Array.make c 0) fill in
+  Array.fill fill 0 nodes 0;
+  for k = 0 to total_keys - 1 do
+    for j = 0 to degree - 1 do
+      let n = (base.(k) + j) mod nodes in
+      at.(n).(fill.(n)) <- k;
+      fill.(n) <- fill.(n) + 1
+    done
+  done;
+  { nodes; degree; total_keys; base; at }
 
 let nodes t = t.nodes
 

@@ -513,7 +513,7 @@ let create sim (config : Sss_kv.Config.t) =
         (fun k ->
           Hashtbl.replace node.store k
             {
-              value = Printf.sprintf "init:%d" k;
+              value = Ids.boot_value k;
               writer = Ids.genesis;
               pending = Hashtbl.create 8;
               ready = [];
@@ -633,7 +633,7 @@ let crash_node t id =
       (fun k ->
         Hashtbl.replace fresh.store k
           {
-            value = Printf.sprintf "init:%d" k;
+            value = Ids.boot_value k;
             writer = Ids.genesis;
             pending = Hashtbl.create 8;
             ready = [];

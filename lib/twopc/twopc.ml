@@ -384,7 +384,7 @@ let create sim (config : Sss_kv.Config.t) =
       Array.iter
         (fun k ->
           Hashtbl.replace node.store k
-            { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
+            { value = Ids.boot_value k; writer = Ids.genesis })
         (Replication.keys_at repl node.id))
     nodes;
   let rel =
@@ -499,7 +499,7 @@ let crash_node t id =
     Array.iter
       (fun k ->
         Hashtbl.replace fresh.store k
-          { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
+          { value = Ids.boot_value k; writer = Ids.genesis })
       (Replication.keys_at t.repl id);
     t.nodes.(id) <- fresh;
     Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)

@@ -509,6 +509,7 @@ let create sim (config : Sss_kv.Config.t) =
           wal = None;
         })
   in
+  let zero = Vclock.zero config.nodes in
   Array.iter
     (fun (node : node) ->
       Array.iter
@@ -517,11 +518,11 @@ let create sim (config : Sss_kv.Config.t) =
             (ref
                [
                  {
-                   value = Printf.sprintf "init:%d" k;
+                   value = Ids.boot_value k;
                    writer = Ids.genesis;
                    site = 0;
                    seq = 0;
-                   wstart = Vclock.zero config.nodes;
+                   wstart = zero;
                  };
                ]))
         (Replication.keys_at repl node.id))
@@ -631,7 +632,7 @@ let crash_node t id =
           (ref
              [
                {
-                 value = Printf.sprintf "init:%d" k;
+                 value = Ids.boot_value k;
                  writer = Ids.genesis;
                  site = 0;
                  seq = 0;

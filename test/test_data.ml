@@ -364,6 +364,56 @@ let mvstore_matches_model =
   QCheck.Test.make ~name:"mvstore agrees with list model" ~count:150
     (QCheck.make gen ~print) run
 
+(* [init_keys] against the loop it replaces: [reserve] for the keys not yet
+   present, then [init_key ~value:(Ids.boot_value k)] in array order.  Keys
+   repeat within the array, and some are preset through [init_key], with a
+   custom value or with the boot value itself. *)
+let mvstore_init_keys_matches_loop =
+  QCheck.Test.make ~name:"mvstore init_keys = reserve + init_key loop" ~count:300
+    QCheck.(
+      triple (int_range 1 4)
+        (small_list (pair (int_bound 60) bool))
+        (array_of_size Gen.(0 -- 150) (int_bound 60)))
+    (fun (nodes, preset, keys) ->
+      let build boot =
+        let s = Mvstore.create ~nodes in
+        List.iter
+          (fun (k, custom) ->
+            Mvstore.init_key s k
+              ~value:(if custom then "custom" ^ string_of_int k else Ids.boot_value k))
+          preset;
+        boot s;
+        s
+      in
+      let bulk = build (fun s -> Mvstore.init_keys s keys) in
+      let loop =
+        build (fun s ->
+            let fresh = Array.fold_left (fun n k -> if Mvstore.mem s k then n else n + 1) 0 keys in
+            Mvstore.reserve s (Mvstore.chains s + fresh);
+            Array.iter (fun k -> Mvstore.init_key s k ~value:(Ids.boot_value k)) keys)
+      in
+      let genesis s k =
+        let g = Mvstore.select s k ~skip:(fun _ -> true) in
+        (Mvstore.slot_value s g, Mvstore.slot_writer_is s g Ids.genesis)
+      in
+      let same a b =
+        Mvstore.image_of a = Mvstore.image_of b
+        && Mvstore.mem_words a = Mvstore.mem_words b
+        && Mvstore.version_count a = Mvstore.version_count b
+        && Mvstore.keys a = Mvstore.keys b
+        && List.for_all
+             (fun k -> Mvstore.chain a k = Mvstore.chain b k && genesis a k = genesis b k)
+             (Mvstore.keys a)
+      in
+      let expect_keys =
+        List.sort_uniq Int.compare (List.map fst preset @ Array.to_list keys)
+      in
+      let once = same bulk loop && Mvstore.keys bulk = expect_keys in
+      (* a repeat call adds nothing: no key, no version, no capacity *)
+      let again = build (fun s -> Mvstore.init_keys s keys) in
+      Mvstore.init_keys again keys;
+      once && same again bulk)
+
 (* ---------- Squeue ---------- *)
 
 let test_squeue_ordering () =
@@ -670,6 +720,7 @@ let () =
           Alcotest.test_case "long-chain truncate" `Quick test_mvstore_long_chain_truncate;
           Alcotest.test_case "arena recycling" `Quick test_mvstore_arena_recycling;
           QCheck_alcotest.to_alcotest mvstore_matches_model;
+          QCheck_alcotest.to_alcotest mvstore_init_keys_matches_loop;
         ] );
       ( "squeue",
         [

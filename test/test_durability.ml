@@ -50,6 +50,14 @@ type outcome = {
   chaos_stats : Chaos.stats;
 }
 
+let sss_ops cl =
+  {
+    Driver.begin_txn = (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
+    read = Sss_kv.Kv.read;
+    write = Sss_kv.Kv.write;
+    commit = Sss_kv.Kv.commit;
+  }
+
 let run_sss ?(durability = true) ?(wire_hooks = true) ~plan ~seed () =
   let sim = Sim.create () in
   let config = { (durable_config ~degree:2 ~seed) with durability } in
@@ -62,16 +70,7 @@ let run_sss ?(durability = true) ?(wire_hooks = true) ~plan ~seed () =
         plan
     else Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name plan
   in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn = (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-          read = Sss_kv.Kv.read;
-          write = Sss_kv.Kv.write;
-          commit = Sss_kv.Kv.commit;
-        }
-  in
+  let result = drive sim ~seed ~ops:(sss_ops cl) in
   let history = Sss_kv.Kv.history cl in
   {
     committed = result.Driver.committed;
@@ -274,6 +273,39 @@ let test_sss_ro_abort_free_durable () =
     if !ro_commits = 0 then Alcotest.failf "seed %d: no RO transaction committed" seed
   done
 
+(* Lock accounting balances across aborts and a crash/restart: every
+   counted grant ([lock.acquire]) has exactly one counted release — the
+   crash counts the grants it drops, the recovery re-lock of in-doubt
+   entries counts as a grant — and the run ends quiescent. *)
+let test_sss_lock_counters_balance () =
+  let aborted = ref 0 in
+  for seed = 1 to 10 do
+    let sim = Sim.create () in
+    let cl =
+      Sss_kv.Kv.create sim { (durable_config ~degree:2 ~seed) with observe = true }
+    in
+    let h =
+      Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name
+        ~on_crash:(Sss_kv.Kv.crash_node cl)
+        ~on_restart:(Sss_kv.Kv.restart_node cl)
+        (crash_plan ~seed)
+    in
+    let result = drive sim ~seed ~ops:(sss_ops cl) in
+    aborted := !aborted + result.Driver.aborted;
+    if (Chaos.stats h).Chaos.crashes <> 1 then Alcotest.failf "seed %d: crash did not fire" seed;
+    (match Sss_kv.Kv.quiescent cl with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "seed %d: not quiescent: %s" seed msg);
+    let o = Option.get (Sss_kv.Kv.obs cl) in
+    let acquired = Sss_obs.Obs.counter o "lock.acquire" in
+    if acquired = 0 then Alcotest.failf "seed %d: no lock was counted" seed;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: lock.release = lock.acquire" seed)
+      acquired
+      (Sss_obs.Obs.counter o "lock.release")
+  done;
+  if !aborted = 0 then Alcotest.fail "the sweep aborted nothing"
+
 (* ---------- determinism: a durable crashy run replays byte-identically ---------- *)
 
 let test_deterministic_replay () =
@@ -307,6 +339,7 @@ let () =
           Alcotest.test_case "crash-recovery sweep" `Quick test_crash_recovery_sweep;
           Alcotest.test_case "sss crash grid" `Quick test_sss_crash_grid;
           Alcotest.test_case "sss ro abort-free" `Quick test_sss_ro_abort_free_durable;
+          Alcotest.test_case "sss lock counters balance" `Quick test_sss_lock_counters_balance;
         ] );
       ( "determinism",
         [

@@ -203,6 +203,31 @@ let test_dispatch_modes_identical () =
   Alcotest.(check bool) "history byte-identical" true (fh = sh);
   Alcotest.(check bool) "made progress" true (fc > 50)
 
+(* ---------- Boot allocation budget ----------
+
+   Booting a cluster allocates the placement (one word per key, one per
+   key-replica) and each store's key index, and nothing per key beyond
+   them: no value string, no cons cell.  Words allocated are a
+   deterministic count (Gc.counters: minor + major - promoted), so the
+   budget holds on any machine. *)
+let boot_words_budget = 12.0
+
+let test_boot_allocation () =
+  let nodes = 16 and degree = 2 and total_keys = 200_000 in
+  let config = { Config.default with nodes; replication_degree = degree; total_keys } in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let sim = Sim.create () in
+  let before = allocated () in
+  let cl = Kv.create sim config in
+  let per_replica = (allocated () -. before) /. float_of_int (degree * total_keys) in
+  ignore (Sys.opaque_identity cl);
+  if per_replica > boot_words_budget then
+    Alcotest.failf "Kv.create allocated %.1f words per key-replica (budget %.0f)" per_replica
+      boot_words_budget
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -219,4 +244,5 @@ let () =
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
       ( "determinism",
         [ Alcotest.test_case "fast vs slow dispatch identical" `Quick test_dispatch_modes_identical ] );
+      ("boot", [ Alcotest.test_case "allocation per key-replica" `Quick test_boot_allocation ]);
     ]

@@ -286,19 +286,50 @@ let test_locks_exclusion_invariant () =
 
 (* ---------- Replication invariants ---------- *)
 
+(* Reference placement, built independently of [Replication]'s counting
+   sort: the same splitmix64 finalizer, then list bucketing — cons every
+   key onto its replicas' buckets from the highest key down, so each
+   bucket ends up ascending. *)
+let reference_hash k =
+  let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 8)
+
+let reference_placement ~nodes ~degree ~total_keys =
+  let base = Array.init total_keys (fun k -> reference_hash k mod nodes) in
+  let buckets = Array.make nodes [] in
+  for k = total_keys - 1 downto 0 do
+    for j = 0 to degree - 1 do
+      let n = (base.(k) + j) mod nodes in
+      buckets.(n) <- k :: buckets.(n)
+    done
+  done;
+  (base, Array.map Array.of_list buckets)
+
+(* [degree_sel] 0 picks [degree = nodes]; [total_keys] is 0 one time in five. *)
 let replication_props =
-  QCheck.Test.make ~name:"replication: degree, membership, determinism" ~count:100
-    QCheck.(triple (int_range 1 12) (int_range 1 4) (int_range 1 300))
-    (fun (nodes, degree_raw, keys) ->
-      let degree = 1 + (degree_raw - 1) mod nodes in
+  QCheck.Test.make ~name:"replication: degree, membership, determinism" ~count:200
+    QCheck.(
+      triple (int_range 1 12) (int_range 0 12)
+        (frequency [ (1, always 0); (4, int_range 1 300) ]))
+    (fun (nodes, degree_sel, keys) ->
+      let degree = if degree_sel = 0 then nodes else 1 + ((degree_sel - 1) mod nodes) in
       let r1 = Replication.create ~nodes ~degree ~total_keys:keys in
       let r2 = Replication.create ~nodes ~degree ~total_keys:keys in
+      let base, ref_at = reference_placement ~nodes ~degree ~total_keys:keys in
       let ok = ref true in
       for k = 0 to keys - 1 do
         let reps = Replication.replicas r1 k in
         if List.length (List.sort_uniq Int.compare reps) <> degree then ok := false;
         if Replication.replicas r2 k <> reps then ok := false;
-        List.iter (fun n -> if not (Replication.is_replica r1 n k) then ok := false) reps
+        if reps <> List.init degree (fun j -> (base.(k) + j) mod nodes) then ok := false;
+        for n = 0 to nodes - 1 do
+          if Replication.is_replica r1 n k <> List.mem n reps then ok := false
+        done
+      done;
+      for n = 0 to nodes - 1 do
+        if Replication.keys_at r1 n <> ref_at.(n) then ok := false
       done;
       !ok)
 
