@@ -5,10 +5,11 @@
 # baseline — commit the refresh when a perf change is intentional).
 set -eu
 
-# Engine-throughput baseline for the regression gate below: the committed
-# BENCH_smoke.json (HEAD copy, so a previous local run can't move the bar).
-baseline_eps=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
-  | grep '"des_events_per_sec"' | head -1 | tr -cd '0-9' || true)
+# Throughput baseline for the regression gate below: the committed
+# BENCH_smoke.json's fig3-to-engine ratio (HEAD copy, so a previous local
+# run can't move the bar; absent before the ratio was recorded).
+baseline_ratio=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
+  | grep '"fig3_engine_ratio"' | head -1 | sed -n 's/.*: *\([0-9.]*\).*/\1/p' || true)
 # Resident-store baseline for the footprint gate (absent before schema 6).
 baseline_wpv=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
   | grep '"words_per_version"' | head -1 | sed -n 's/.*: *\([0-9.]*\).*/\1/p' || true)
@@ -23,20 +24,22 @@ else
 fi
 dune exec bench/main.exe -- --scale smoke fig3 --json BENCH_smoke.json
 
-# Throughput-regression gate: the fresh -j1 run must stay within 10% of
-# the committed baseline's DES events/sec.  Machine drift is real, so the
-# bar is deliberately loose; a trip means either a genuine engine
-# regression or a slower machine — investigate, and if the new number is
-# the truth, commit the refreshed BENCH_smoke.json.
+# Throughput-regression gate, immune to machine drift: the fresh -j1 fig3
+# DES events/sec is divided by the engine-only probe's events/sec measured
+# on the same machine moments later, and that ratio must stay within 10%
+# of the committed baseline's.  A slower machine slows both alike; a trip
+# means the protocol stack got slower relative to the engine under it.
 new_eps=$(grep '"des_events_per_sec"' BENCH_smoke.json | head -1 | tr -cd '0-9')
-if [ -n "$baseline_eps" ] && [ -n "$new_eps" ]; then
-  if awk "BEGIN { exit !($new_eps < 0.9 * $baseline_eps) }"; then
-    echo "smoke FAIL: des_events_per_sec $new_eps < 90% of baseline $baseline_eps" >&2
+engine_eps=$(dune exec bench/alloc_probe.exe | sed -n 's|^events/sec *\([0-9]*\).*|\1|p')
+new_ratio=$(awk "BEGIN { printf \"%.4f\", $new_eps / $engine_eps }")
+if [ -n "$baseline_ratio" ]; then
+  if awk "BEGIN { exit !($new_ratio < 0.9 * $baseline_ratio) }"; then
+    echo "smoke FAIL: fig3/engine ev/s ratio $new_ratio < 90% of baseline $baseline_ratio" >&2
     exit 1
   fi
-  echo "smoke: throughput gate OK ($new_eps ev/s vs baseline $baseline_eps)"
+  echo "smoke: throughput gate OK (fig3/engine ratio $new_ratio vs baseline $baseline_ratio)"
 else
-  echo "smoke: throughput gate skipped (no committed baseline)"
+  echo "smoke: throughput gate skipped (committed BENCH_smoke.json records no fig3_engine_ratio)"
 fi
 
 # Storage-regression gate: resident words per retained version must stay
@@ -100,6 +103,9 @@ else
   echo "smoke: speedup gate skipped ($JOBS core(s); fig3 ${speedup:-n/a}x)"
 fi
 # Keep the parallel run as the recorded artifact: same deterministic fields,
-# plus the jobs count and measured speedup.
-mv BENCH_smoke_par.json BENCH_smoke.json
+# plus the jobs count and measured speedup — and the -j1 throughput
+# measurements the gate above compared, as a top-level "throughput" block.
+awk -v blk="  \"throughput\": {\n    \"fig3_j1_events_per_sec\": $new_eps,\n    \"engine_events_per_sec\": $engine_eps,\n    \"fig3_engine_ratio\": $new_ratio\n  }," \
+  '/^  "targets": \[/ { print blk } { print }' BENCH_smoke_par.json > BENCH_smoke.json
+rm -f BENCH_smoke_par.json
 echo "smoke OK"

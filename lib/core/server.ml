@@ -36,7 +36,7 @@ let admission_control t node key ~bound_local =
         match Hashtbl.find_opt node.writer_since e.Squeue.txn with
         | Some since -> now t -. since > cfg.starvation_threshold
         | None -> false)
-      (Squeue.writers (squeue node key))
+      (squeue_writers node key)
   in
   (* Bounded: this is a delay to let the writer drain, not a gate — an
      unbounded loop here turns a transient pile-up into a livelock (the
@@ -109,8 +109,9 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
   if is_update then begin
     (* Alg. 6 lines 23-27: update transactions read the newest version and
        collect the key's reader entries as transitive anti-dependencies. *)
-    let q = squeue node key in
-    let props = List.map (fun e -> (e.Squeue.txn, e.Squeue.sid)) (Squeue.readers q) in
+    let props =
+      List.map (fun e -> (e.Squeue.txn, e.Squeue.sid)) (squeue_readers node key)
+    in
     List.iter (fun (r, _) -> add_forward node ~reader:r ~writer:txn ~coord:src) props;
     let ver = Mvstore.last node.store key in
     let writer = Mvstore.slot_writer node.store ver in
@@ -148,8 +149,6 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
           && (not (Commitq.exists_at_or_below node.commitq ~bound:(Vclock.get vc me)))
           && not (List.exists (Commitq.mem node.commitq) present_on_arrival));
       admission_control t node key ~bound_local:(Vclock.get vc me);
-      let q = squeue node key in
-      ignore q;
       (* ExcludedSet, strengthened from Alg. 6 line 7: a read-only
          transaction observes a writer only once it is externally
          committed.  Writers its bound does not cover are excluded (the
@@ -172,7 +171,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
          committed and its Remove was processed here; the tombstone stops
          the entry from being resurrected unremovably. *)
       if not (is_tombstoned node txn) then begin
-        Squeue.insert_read q ~txn ~sid;
+        Squeue.insert_read (squeue node key) ~txn ~sid;
         index_reader node txn key
       end;
       let skip = version_skipper ~has_read ~maxvc ~me ~cutoff in
@@ -221,7 +220,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
 let handle_remove t node ~reader =
   add_tombstone t node reader;
   let keys = take_reader_keys node reader in
-  List.iter (fun k -> ignore (Squeue.remove (squeue node k) reader)) keys;
+  List.iter (fun k -> squeue_remove node k reader) keys;
   if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
   List.iter
     (fun (writer, coord) ->
@@ -241,8 +240,11 @@ let handle_remove t node ~reader =
    before the removes go out), and the {!Message.Reader_done} answer runs
    the normal remove path. *)
 let await_writer_unblocked t node ~sid key =
-  let q = squeue node key in
-  let clear () = not (Squeue.blocks_writer q ~sid) in
+  let clear () =
+    match squeue_find node key with
+    | Some q -> not (Squeue.blocks_writer q ~sid)
+    | None -> true
+  in
   if not t.config.Config.durability then Sim.Cond.await t.sim node.squeue_changed clear
   else
     let slice = 4. *. t.config.Config.retry_max in
@@ -261,7 +263,7 @@ let await_writer_unblocked t node ~sid key =
               end
               else send t ~src:node.id ~dst:home (Message.Reader_probe { reader })
             end)
-          (Squeue.readers q);
+          (squeue_readers node key);
         loop ()
       end
     in
@@ -285,7 +287,7 @@ let probe_orphans t node =
             if not (Hashtbl.mem node.active reader) then handle_remove t node ~reader
           end
           else send t ~src:node.id ~dst:home (Message.Reader_probe { reader }))
-        (Squeue.readers (squeue node key)))
+        (squeue_readers node key))
     (List.sort Int.compare
        (Hashtbl.fold (fun k _ acc -> k :: acc) node.squeues [] [@order_ok]))
 
@@ -306,7 +308,7 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
     List.iter
       (fun k ->
         await_writer_unblocked t node ~sid k;
-        ignore (Squeue.remove (squeue node k) txn);
+        squeue_remove node k txn;
         Sim.Cond.broadcast t.sim node.squeue_changed)
       keys;
     if node_live t node then begin
@@ -455,7 +457,7 @@ let handle_finalize t node ~txn ~reply_to =
           let entry_sid k =
             List.find_map
               (fun e -> if Ids.equal_txn e.Squeue.txn txn then Some e.Squeue.sid else None)
-              (Squeue.writers (squeue node k))
+              (squeue_writers node k)
           in
           List.iter
             (fun k ->
@@ -464,7 +466,7 @@ let handle_finalize t node ~txn ~reply_to =
               | Some sid -> await_writer_unblocked t node ~sid k)
             keys;
           if node_live t node then begin
-            List.iter (fun k -> ignore (Squeue.remove (squeue node k) txn)) keys;
+            List.iter (fun k -> squeue_remove node k txn) keys;
             (match prep.final_vc with
             | Some fvc -> node.stable_vc <- Vclock.max node.stable_vc fvc
             | None -> ());

@@ -488,6 +488,9 @@ let node t i = t.nodes.(i)
 
 let now t = Sim.now t.sim
 
+(* A key holds a snapshot-queue only while the queue has entries: inserts
+   create it through [squeue], removals drop it once empty, and every
+   read-only probe goes through [squeue_find]. *)
 let squeue node key =
   match Hashtbl.find_opt node.squeues key with
   | Some q -> q
@@ -495,6 +498,22 @@ let squeue node key =
       let q = Squeue.create () in
       Hashtbl.replace node.squeues key q;
       q
+
+let squeue_find node key = Hashtbl.find_opt node.squeues key
+
+let squeue_readers node key =
+  match squeue_find node key with Some q -> Squeue.readers q | None -> []
+
+let squeue_writers node key =
+  match squeue_find node key with Some q -> Squeue.writers q | None -> []
+
+(* Drop [txn]'s entries from [key]'s queue, and the queue once empty. *)
+let squeue_remove node key txn =
+  match squeue_find node key with
+  | Some q ->
+      ignore (Squeue.remove q txn : bool);
+      if Squeue.is_empty q then Hashtbl.remove node.squeues key
+  | None -> ()
 
 let send t ~src ~dst payload =
   let prio = if t.config.Config.priority_network then Message.priority payload else 100 in

@@ -2,10 +2,14 @@
 
    Layout (docs/ARCHITECTURE.md "The version store"):
 
-   - Keys intern to dense handles [0 .. nkeys).  [key_of]/[head] are the
-     handle-indexed views; an open-addressing int map ([h_keys]/[h_vals])
-     takes the public Ids.key to its handle (the only hash lookup on any
-     path — the GC sweep walks handles).
+   - A key's handle is its rank in [key_of], ascending over [0 .. nkeys);
+     [head]/[g_state] are the handle-indexed views and every lookup
+     binary-searches [key_of] (no hash map; the GC sweep walks handles).
+     [key_of] is never rewritten below [nkeys]: an append above the
+     current maximum fills spare capacity (only while the array is private
+     to this store, [key_own]), and any other insert allocates a fresh
+     array.  So [init_keys] adopts the placement's ascending array
+     without copying it, and images share it with the store.
    - Versions are slots in four parallel arrays ([v_value], [v_writer],
      [v_clock], [v_next]).  [v_next] links newest-to-oldest and doubles as
      the free-list link of recycled slots, so GC churn is in-place reuse
@@ -53,26 +57,15 @@ let g_dropped = '\002' (* genesis collected *)
 
 let no_value = ""
 
-(* vacant-probe sentinel of the key->handle map ([Ids.key] is never
-   [min_int] — keys are small non-negative ints) *)
-let hmap_empty = min_int
-
 type t = {
   nodes : int;
   zero : Vclock.t;  (* shared by every decoded genesis version *)
-  (* key interning *)
-  (* key -> handle map: open addressing with linear probing over two int
-     arrays — ~2.7 words/binding at the 3/4 load cap, where Hashtbl's boxed
-     buckets cost ~5; at 1M+ keys the interning table is itself a top-three
-     heap consumer.  [h_keys] holds [hmap_empty] in vacant probes (bindings
-     are never removed: a collected chain keeps its handle).  Capacity is
-     always a power of two. *)
-  mutable h_keys : int array;
-  mutable h_vals : int array;
-  mutable key_of : int array;  (* handle -> key *)
+  (* key index: handle = rank; a collected chain keeps its handle *)
+  mutable key_of : int array;  (* handle -> key, ascending below [nkeys] *)
+  mutable key_own : bool;  (* [key_of] is referenced by this store alone *)
   mutable head : int array;  (* handle -> newest explicit slot, -1 if none *)
   mutable g_state : Bytes.t;  (* handle -> implicit-genesis state *)
-  g_custom : (int, string) Hashtbl.t;  (* non-default genesis values (tests) *)
+  g_custom : (int, string) Hashtbl.t;  (* key -> non-default genesis value (tests) *)
   mutable nkeys : int;
   (* version slots *)
   mutable v_value : string array;
@@ -100,9 +93,10 @@ type t = {
   mutable da_top : int;
   da_free : int array;  (* class k -> free-list head, -1 *)
   mutable da_free_words : int;
-  (* GC sweep cursor: handles are visited newest-created-first, the bound
-     frozen per pass — the exact order of the previous list-based store, so
-     gc-on trajectories are unchanged *)
+  (* GC sweep cursor: handles are visited in descending key order, the
+     bound frozen per pass — for a store booted from an ascending key array
+     this is the newest-created-first order of the previous list-based
+     store, so gc-on trajectories are unchanged *)
   mutable sweep_hi : int;
   mutable sweep_pos : int;
   (* scratch clock for newest-first decodes; [scratch_vc] is the Vclock
@@ -116,9 +110,8 @@ let create ~nodes =
   {
     nodes;
     zero = Vclock.zero nodes;
-    h_keys = Array.make 256 hmap_empty;
-    h_vals = Array.make 256 0;
     key_of = [||];
+    key_own = true;
     head = [||];
     g_state = Bytes.empty;
     g_custom = Hashtbl.create 8;
@@ -153,49 +146,27 @@ let str_words len = 1 + ((len + 8) / 8)
 
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
-(* ---- key -> handle map ---- *)
+(* ---- key index ---- *)
 
-(* Fibonacci-style multiplicative mix; the fold of high into low bits keeps
-   strided key patterns from clustering under the power-of-two mask. *)
-let hmap_hash k mask =
-  let h = k * 0x2545F4914F6CDD1D in
-  ((h lsr 32) lxor h) land mask
+(* least handle in [lo, hi) whose key is [>= k], else [hi] *)
+let[@hot] rec rank_from (ks : int array) k lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Array.unsafe_get ks mid < k then rank_from ks k (mid + 1) hi else rank_from ks k lo mid
 
-let rec hmap_probe keys vals mask k i =
-  let kk = Array.unsafe_get keys i in
-  if kk = k then Array.unsafe_get vals i
-  else if kk = hmap_empty then -1
-  else hmap_probe keys vals mask k ((i + 1) land mask)
+let rank t k = rank_from t.key_of k 0 t.nkeys
 
 (* handle of [k], or -1 *)
-let[@hot] hmap_find t k =
-  let mask = Array.length t.h_keys - 1 in
-  hmap_probe t.h_keys t.h_vals mask k (hmap_hash k mask)
-
-let rec hmap_vacant keys mask k i =
-  let kk = Array.unsafe_get keys i in
-  if kk = hmap_empty || kk = k then i
-  else hmap_vacant keys mask k ((i + 1) land mask)
-
-let hmap_put t k v =
-  let mask = Array.length t.h_keys - 1 in
-  let i = hmap_vacant t.h_keys mask k (hmap_hash k mask) in
-  t.h_keys.(i) <- k;
-  t.h_vals.(i) <- v
-
-(* rehash every live handle into fresh arrays of capacity [cap] *)
-let hmap_rebuild t cap =
-  t.h_keys <- Array.make cap hmap_empty;
-  t.h_vals <- Array.make cap 0;
-  for h = 0 to t.nkeys - 1 do
-    hmap_put t t.key_of.(h) h
-  done
+let[@hot] find t k =
+  let h = rank t k in
+  if h < t.nkeys && Array.unsafe_get t.key_of h = k then h else -1
 
 let[@hot] find_handle t k =
-  let h = hmap_find t k in
+  let h = find t k in
   if h < 0 then raise Not_found else h
 
-let mem t k = hmap_find t k >= 0
+let mem t k = find t k >= 0
 
 let chains t = t.nkeys
 
@@ -203,16 +174,13 @@ let version_count t = t.total
 
 (* ---- growth ---- *)
 
-let grow_keys t =
-  let cap = Array.length t.key_of in
-  let ncap = if cap = 0 then 256 else 2 * cap in
-  let nk = Array.make ncap (-1) and nh = Array.make ncap (-1) in
-  Array.blit t.key_of 0 nk 0 cap;
-  Array.blit t.head 0 nh 0 cap;
-  t.key_of <- nk;
+(* Resize the private handle-indexed arrays to capacity [cap]. *)
+let grow_handles t cap =
+  let nh = Array.make cap (-1) in
+  Array.blit t.head 0 nh 0 t.nkeys;
   t.head <- nh;
-  let ng = Bytes.make ncap g_dropped in
-  Bytes.blit t.g_state 0 ng 0 cap;
+  let ng = Bytes.make cap g_dropped in
+  Bytes.blit t.g_state 0 ng 0 t.nkeys;
   t.g_state <- ng
 
 let grow_slots t =
@@ -244,37 +212,41 @@ let grow_da t need =
   Array.blit t.da 0 n 0 cap;
   t.da <- n
 
-(* Pre-size the key index for [n] keys: exact dense arrays, next
-   power-of-two map under the 3/4 load cap.  [init_keys] knows the final
-   count, and doubling slack on 1M-key clusters would otherwise dominate
-   [mem_words]. *)
+(* Pre-size the key index for [n] keys: exact arrays, so ascending
+   [init_key]s fill it in place.  Doubling slack on 1M-key clusters would
+   otherwise dominate [mem_words]. *)
 let reserve t n =
-  if n > Array.length t.key_of then begin
-    let nk = Array.make n (-1) and nh = Array.make n (-1) in
-    Array.blit t.key_of 0 nk 0 t.nkeys;
-    Array.blit t.head 0 nh 0 t.nkeys;
-    t.key_of <- nk;
-    t.head <- nh;
-    let ng = Bytes.make n g_dropped in
-    Bytes.blit t.g_state 0 ng 0 t.nkeys;
-    t.g_state <- ng
-  end;
-  let cap = ref (Array.length t.h_keys) in
-  while 4 * n > 3 * !cap do
-    cap := 2 * !cap
-  done;
-  if !cap > Array.length t.h_keys then hmap_rebuild t !cap
+  if n > Array.length t.head then begin
+    grow_handles t n;
+    let ks = Array.make n (-1) in
+    Array.blit t.key_of 0 ks 0 t.nkeys;
+    t.key_of <- ks;
+    t.key_own <- true
+  end
 
-let new_handle t k =
-  if t.nkeys >= Array.length t.key_of then grow_keys t;
-  let h = t.nkeys in
-  t.nkeys <- h + 1;
-  t.key_of.(h) <- k;
-  t.head.(h) <- -1;
-  Bytes.set t.g_state h g_dropped;
-  if 4 * (h + 1) > 3 * Array.length t.h_keys then hmap_rebuild t (2 * Array.length t.h_keys);
-  hmap_put t k h;
-  h
+(* Open handle [r] = [rank t k] for the absent key [k]; handles from [r] up
+   shift by one.  [key_of] below [nkeys] is never written: an append fills
+   spare capacity of a private array, any other insert copies. *)
+let insert_handle t r k =
+  let n = t.nkeys in
+  if n = Array.length t.head then grow_handles t (if n = 0 then 256 else 2 * n);
+  Array.blit t.head r t.head (r + 1) (n - r);
+  Bytes.blit t.g_state r t.g_state (r + 1) (n - r);
+  t.head.(r) <- -1;
+  Bytes.set t.g_state r g_dropped;
+  if r = n && t.key_own && n < Array.length t.key_of then t.key_of.(n) <- k
+  else begin
+    let ks = Array.make (Array.length t.head) (-1) in
+    Array.blit t.key_of 0 ks 0 r;
+    ks.(r) <- k;
+    Array.blit t.key_of r ks (r + 1) (n - r);
+    t.key_of <- ks;
+    t.key_own <- true
+  end;
+  t.nkeys <- n + 1;
+  (* an insert at or below the sweep's next handle shifts that chain up *)
+  if r <= t.sweep_hi - 1 - t.sweep_pos then t.sweep_hi <- t.sweep_hi + 1;
+  r
 
 (* ---- arena cells ---- *)
 
@@ -381,8 +353,8 @@ let slot_value t s =
   if s >= 0 then t.v_value.(s)
   else begin
     let h = ghandle s in
-    if Bytes.get t.g_state h = g_custom_v then Hashtbl.find t.g_custom h
-    else Ids.boot_value t.key_of.(h)
+    let k = t.key_of.(h) in
+    if Bytes.get t.g_state h = g_custom_v then Hashtbl.find t.g_custom k else Ids.boot_value k
   end
 
 let slot_writer t s = if s >= 0 then Ids.unpack t.v_writer.(s) else Ids.genesis
@@ -448,34 +420,56 @@ let chain t k =
 
 (* ---- writes ---- *)
 
+(* the handle opened for [k], or -1 if [k] is already present *)
+let open_key t k =
+  let r = rank t k in
+  if r < t.nkeys && t.key_of.(r) = k then -1 else insert_handle t r k
+
 let init_key t k ~value =
-  if hmap_find t k < 0 then begin
-    let h = new_handle t k in
+  let h = open_key t k in
+  if h >= 0 then begin
     if String.equal value (Ids.boot_value k) then Bytes.set t.g_state h g_derived
     else begin
       Bytes.set t.g_state h g_custom_v;
-      Hashtbl.replace t.g_custom h value;
+      Hashtbl.replace t.g_custom k value;
       t.value_words <- t.value_words + str_words (String.length value)
     end;
     t.total <- t.total + 1
   end
 
+let rec strictly_ascending (keys : int array) i =
+  i >= Array.length keys || (keys.(i - 1) < keys.(i) && strictly_ascending keys (i + 1))
+
 (* The boot path: [init_key ~value:(Ids.boot_value k)] over [keys] after one
    [reserve], minus the value string and its comparison — a boot-default
-   genesis is a state byte.  Handles follow array order, as the loop's.
-   Only entries not yet present count towards the reservation, so a repeat
-   call changes nothing at all. *)
+   genesis is a state byte.  An empty store adopts a strictly ascending
+   array as its key index outright (the loop would have filled an exact
+   reservation with the same keys).  Only entries not yet present count
+   towards the reservation, so a repeat call changes nothing at all. *)
 let init_keys t keys =
-  let fresh = Array.fold_left (fun n k -> if hmap_find t k < 0 then n + 1 else n) 0 keys in
-  reserve t (t.nkeys + fresh);
-  Array.iter
-    (fun k ->
-      if hmap_find t k < 0 then begin
-        let h = new_handle t k in
-        Bytes.set t.g_state h g_derived;
-        t.total <- t.total + 1
-      end)
-    keys
+  let n = Array.length keys in
+  if t.nkeys = 0 && strictly_ascending keys 1 then begin
+    if n > 0 then begin
+      t.key_of <- keys;
+      t.key_own <- false;
+      t.head <- Array.make n (-1);
+      t.g_state <- Bytes.make n g_derived;
+      t.nkeys <- n;
+      t.total <- t.total + n
+    end
+  end
+  else begin
+    let fresh = Array.fold_left (fun n k -> if mem t k then n else n + 1) 0 keys in
+    reserve t (t.nkeys + fresh);
+    Array.iter
+      (fun k ->
+        let h = open_key t k in
+        if h >= 0 then begin
+          Bytes.set t.g_state h g_derived;
+          t.total <- t.total + 1
+        end)
+      keys
+  end
 
 let alloc_slot t =
   if t.free_slot >= 0 then begin
@@ -559,9 +553,10 @@ let free_tail t s0 =
 
 let drop_genesis t h =
   if Bytes.get t.g_state h = g_custom_v then begin
-    let v = Hashtbl.find t.g_custom h in
+    let k = t.key_of.(h) in
+    let v = Hashtbl.find t.g_custom k in
     t.value_words <- t.value_words - str_words (String.length v);
-    Hashtbl.remove t.g_custom h
+    Hashtbl.remove t.g_custom k
   end;
   Bytes.set t.g_state h g_dropped;
   t.total <- t.total - 1
@@ -687,12 +682,13 @@ let restore_chain t k versions =
   match versions with
   | [] -> ()
   | _ ->
+      let r = rank t k in
       let h =
-        match hmap_find t k with
-        | h when h >= 0 ->
-            clear_chain t h;
-            h
-        | _ -> new_handle t k
+        if r < t.nkeys && t.key_of.(r) = k then begin
+          clear_chain t r;
+          r
+        end
+        else insert_handle t r k
       in
       let arr = Array.of_list versions in
       let m = Array.length arr in
@@ -722,19 +718,18 @@ let restore_chain t k versions =
           Bytes.set t.g_state h g_derived
         else begin
           Bytes.set t.g_state h g_custom_v;
-          Hashtbl.replace t.g_custom h oldest.value;
+          Hashtbl.replace t.g_custom k oldest.value;
           t.value_words <- t.value_words + str_words (String.length oldest.value)
         end;
         t.total <- t.total + 1
       end
 
-(* Sorted, so callers observe an order independent of table internals. *)
 let keys t =
   let acc = ref [] in
   for h = t.nkeys - 1 downto 0 do
     acc := t.key_of.(h) :: !acc
   done;
-  List.sort Int.compare !acc
+  !acc
 
 (* ---- checkpoint images ---- *)
 
@@ -786,15 +781,18 @@ let disk_bytes t =
       s := t.v_next.(c)
     done;
     if genesis_present t h && Bytes.get t.g_state h = g_custom_v then
-      bytes := !bytes + String.length (Hashtbl.find t.g_custom h)
+      bytes := !bytes + String.length (Hashtbl.find t.g_custom t.key_of.(h))
   done;
   !bytes
 
+(* [key_of] is shared, not copied: once shared no store writes it again,
+   and its entries below [nkeys] never change anyway. *)
 let image_of t =
+  t.key_own <- false;
   {
     i_nodes = t.nodes;
     i_nkeys = t.nkeys;
-    i_key_of = Array.sub t.key_of 0 t.nkeys;
+    i_key_of = t.key_of;
     i_head = Array.sub t.head 0 t.nkeys;
     i_g_state = Bytes.sub t.g_state 0 t.nkeys;
     i_g_custom =
@@ -826,16 +824,12 @@ let image_bytes im = im.i_bytes
 let restore t im =
   if im.i_nodes <> t.nodes then invalid_arg "Mvstore.restore: cluster size mismatch";
   t.nkeys <- im.i_nkeys;
-  t.key_of <- Array.copy im.i_key_of;
+  t.key_of <- im.i_key_of;
+  t.key_own <- false;
   t.head <- Array.copy im.i_head;
-  t.g_state <- Bytes.of_string (Bytes.to_string im.i_g_state);
-  let cap = ref 256 in
-  while 4 * t.nkeys > 3 * !cap do
-    cap := 2 * !cap
-  done;
-  hmap_rebuild t !cap;
+  t.g_state <- Bytes.copy im.i_g_state;
   Hashtbl.reset t.g_custom;
-  List.iter (fun (h, v) -> Hashtbl.replace t.g_custom h v) im.i_g_custom;
+  List.iter (fun (k, v) -> Hashtbl.replace t.g_custom k v) im.i_g_custom;
   t.slot_top <- im.i_slot_top;
   t.v_value <- Array.copy im.i_value;
   t.v_writer <- Array.copy im.i_writer;
@@ -876,10 +870,7 @@ let mem_words t =
     clock_words = Array.length t.ca + Array.length t.da + Array.length t.da_free + 3;
     clock_free_words = (t.ca_free_cells * (t.nodes + 1)) + t.da_free_words;
     index_words =
-      Array.length t.key_of + Array.length t.head
-      + ((Bytes.length t.g_state + 8) / 8)
-      + Array.length t.h_keys + Array.length t.h_vals
-      + 8;
+      Array.length t.key_of + Array.length t.head + ((Bytes.length t.g_state + 8) / 8) + 3;
     value_words = t.value_words;
     free_slots = t.free_slots;
   }

@@ -21,8 +21,16 @@
       newest-first into a single scratch clock on {!select} — never
       allocated per read.  Genesis (all-zero) clocks are interned.
     - Genesis versions whose value is the boot default are fully implicit
-      (derived from the key on demand); keys are interned to dense int
-      handles so the GC sweep cursor never hashes.
+      (derived from the key on demand).
+    - A key's handle is its {e rank} in one ascending key array, found by
+      binary search; there is no hash map.  The array's entries below the
+      key count are never rewritten in place: an insert above the current
+      maximum appends into spare capacity the store owns alone, any other
+      insert builds a fresh array.  So {!init_keys} {e adopts} the
+      placement's ascending array without copying it, and {!image_of} and
+      {!restore} share it too.  A middle insert shifts the rank of every
+      key above it.
+    - The GC sweep walks handles, hence chains in descending key order.
 
     Reads therefore return opaque {!slot} handles with O(1) accessors; the
     decoded {!version} record remains for cold paths ({!chain},
@@ -47,7 +55,8 @@ val create : nodes:int -> t
 
 val reserve : t -> int -> unit
 (** [reserve t n] pre-sizes the key index for [n] keys in total (exact
-    dense arrays, minimal hash capacity), avoiding growth-doubling slack.
+    arrays, filled in place by ascending {!init_key}s), avoiding
+    growth-doubling slack.
     {!init_keys} calls it once for its whole batch; callers installing keys
     one by one through {!init_key} may call it first.  Purely an allocation
     hint — never required. *)
@@ -63,7 +72,9 @@ val init_keys : t -> Ids.key array -> unit
     [init_key t k ~value:(Ids.boot_value k)] for each [k] in array order
     would (same handles, same capacities), but builds and compares no
     string.  Keys already present are left as they are; a repeat call
-    changes nothing. *)
+    changes nothing.  On an empty store a strictly ascending array is
+    adopted as the key index itself, not copied: the caller must not
+    mutate it afterwards (the store never does). *)
 
 val mem : t -> Ids.key -> bool
 (** Whether [key] has been initialised (holds at least its genesis
@@ -115,9 +126,10 @@ val truncate_covered : t -> Ids.key -> watermark:Vclock.t -> int
 val sweep_covered : t -> watermark:Vclock.t -> budget:int -> int
 (** Advance the store's round-robin sweep cursor by up to [budget] chains,
     applying {!truncate_covered} to each; returns the versions dropped.
-    Chains are visited in creation order (deterministic — never Hashtbl
-    order) over the dense handle index (no hashing), wrapping around once
-    the pass completes, so repeated calls amortize full-store coverage.
+    Chains are visited in descending key order (deterministic — never
+    Hashtbl order) over the handle index, wrapping around once the pass
+    completes, so repeated calls amortize full-store coverage.  A key
+    inserted mid-pass below the cursor is visited in that pass.
     This is what reclaims keys written once and never again: their
     superseded version only becomes watermark-covered long after any
     apply-time hook last saw the key. *)
@@ -147,7 +159,8 @@ val version_count : t -> int
 type image
 
 val image_of : t -> image
-(** Deep copy via bulk array blits.  The image is immutable and reusable
+(** Deep copy via bulk array blits, except the key array, which is shared
+    (no store writes it once shared).  The image is immutable and reusable
     across multiple {!restore}s (values are shared structurally — strings
     are immutable). *)
 
@@ -163,15 +176,14 @@ val image_bytes : image -> int
 
 (** {2 Resident-storage accounting}
 
-    All counters are maintained incrementally; {!mem_words} is O(1) apart
-    from sizing the key-handle table. *)
+    All counters are maintained incrementally; {!mem_words} is O(1). *)
 
 type mem = {
   versions : int;  (** live versions (incl. implicit genesis) *)
   slot_words : int;  (** capacity of the four parallel slot arrays *)
   clock_words : int;  (** full-clock + delta arena capacity *)
   clock_free_words : int;  (** of which parked on arena free lists *)
-  index_words : int;  (** key interning: handle table + dense arrays *)
+  index_words : int;  (** key index: key array, heads, genesis states *)
   value_words : int;  (** boxed value strings (headers included) *)
   free_slots : int;  (** recycled slots awaiting reuse *)
 }

@@ -414,6 +414,152 @@ let mvstore_init_keys_matches_loop =
       Mvstore.init_keys again keys;
       once && same again bulk)
 
+(* Key index by rank: keys arrive in random order, repeat, and carry
+   custom genesis values; installs and selects on absent keys must raise,
+   and [restore_chain] may create a key anywhere in the order.  A
+   sorted-assoc model checks every chain and that [keys] stays ascending.
+   Images taken along the way pin the no-rewrite invariant: each must
+   still marshal to the same bytes after later inserts, and restore to the
+   store it was taken from.  An optional boot adopts an ascending array,
+   which must come out untouched. *)
+type kop =
+  | KInit of int * bool  (* key, custom genesis value *)
+  | KInstall of int * int array * int
+  | KSelect of int * int array
+  | KRestore of int * (int * int array) list * bool  (* versions, genesis tail *)
+  | KImage
+
+let kop_to_string = function
+  | KInit (k, c) -> Printf.sprintf "init k%d%s" k (if c then " custom" else "")
+  | KInstall (k, _, w) -> Printf.sprintf "install k%d w%d" k w
+  | KSelect (k, _) -> Printf.sprintf "select k%d" k
+  | KRestore (k, vs, g) ->
+      Printf.sprintf "restore k%d %d-versions%s" k (List.length vs) (if g then "+genesis" else "")
+  | KImage -> "image"
+
+let mvstore_key_index_matches_model =
+  let nodes = 2 in
+  let gen =
+    let open QCheck.Gen in
+    let k = int_bound 40 in
+    let clock = array_size (return nodes) (int_bound 5) in
+    let op =
+      frequency
+        [
+          (5, map2 (fun k c -> KInit (k, c)) k bool);
+          (3, map3 (fun k c w -> KInstall (k, c, w)) k clock (int_range 1 99));
+          (2, map2 (fun k b -> KSelect (k, b)) k clock);
+          ( 2,
+            map3
+              (fun k vs g -> KRestore (k, vs, g))
+              k
+              (list_size (int_range 1 3) (pair (int_bound 99) clock))
+              bool );
+          (1, return KImage);
+        ]
+    in
+    pair (list_size (int_bound 12) k) (list_size (int_bound 60) op)
+  in
+  let print (boot, ops) =
+    Printf.sprintf "boot [%s]; %s"
+      (String.concat ";" (List.map string_of_int boot))
+      (String.concat "; " (List.map kop_to_string ops))
+  in
+  let writer w = tx 1 w in
+  let run (boot, ops) =
+    let s = Mvstore.create ~nodes in
+    let boot = Array.of_list (List.sort_uniq Int.compare boot) in
+    let boot_copy = Array.copy boot in
+    Mvstore.init_keys s boot;
+    (* key -> chain (value, writer, clock), newest first; sorted by key *)
+    let model =
+      ref
+        (List.map
+           (fun k -> (k, [ (Ids.boot_value k, Ids.genesis, Array.make nodes 0) ]))
+           (Array.to_list boot))
+    in
+    let images = ref [] in
+    let chain_of st k =
+      List.map
+        (fun v -> (v.Mvstore.value, v.Mvstore.writer, Vclock.to_array v.Mvstore.vc))
+        (Mvstore.chain st k)
+    in
+    let agrees st m =
+      Mvstore.keys st = List.map fst m
+      && List.for_all (fun (k, ch) -> Mvstore.mem st k && chain_of st k = ch) m
+      && Mvstore.version_count st = List.fold_left (fun n (_, ch) -> n + List.length ch) 0 m
+      && Mvstore.chains st = List.length m
+    in
+    let set k ch =
+      model :=
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) ((k, ch) :: List.remove_assoc k !model)
+    in
+    let raises f = match f () with _ -> false | exception Not_found -> true in
+    let step op =
+      match op with
+      | KInit (k, custom) ->
+          let value = if custom then "c" ^ string_of_int k else Ids.boot_value k in
+          Mvstore.init_key s k ~value;
+          if not (List.mem_assoc k !model) then set k [ (value, Ids.genesis, Array.make nodes 0) ];
+          true
+      | KInstall (k, c, w) -> (
+          let value = "w" ^ string_of_int w in
+          match List.assoc_opt k !model with
+          | None ->
+              raises (fun () ->
+                  Mvstore.install s k ~value ~vc:(Vclock.of_array c) ~writer:(writer w))
+          | Some ch ->
+              Mvstore.install s k ~value ~vc:(Vclock.of_array c) ~writer:(writer w);
+              set k ((value, writer w, Array.copy c) :: ch);
+              true)
+      | KSelect (k, b) -> (
+          let bound = Vclock.of_array b in
+          let skip cvc = not (Vclock.leq cvc bound) in
+          match List.assoc_opt k !model with
+          | None -> raises (fun () -> Mvstore.select s k ~skip)
+          | Some ch ->
+              let got = Mvstore.select s k ~skip in
+              let rec want = function
+                | [] -> assert false
+                | [ oldest ] -> oldest
+                | ((_, _, c) as v) :: rest ->
+                    if Vclock.leq (Vclock.of_array c) bound then v else want rest
+              in
+              let value, w, _ = want ch in
+              String.equal value (Mvstore.slot_value s got) && Mvstore.slot_writer_is s got w)
+      | KRestore (k, vs, genesis) ->
+          let ch =
+            List.map (fun (w, c) -> ("r" ^ string_of_int w, writer w, Array.copy c)) vs
+            @ if genesis then [ ("g" ^ string_of_int k, Ids.genesis, Array.make nodes 0) ] else []
+          in
+          Mvstore.restore_chain s k
+            (List.map
+               (fun (value, w, c) -> { Mvstore.value; vc = Vclock.of_array c; writer = w })
+               ch);
+          set k ch;
+          true
+      | KImage ->
+          let im = Mvstore.image_of s in
+          images := (im, Marshal.to_string im [], !model) :: !images;
+          true
+    in
+    let images_hold () =
+      List.for_all
+        (fun (im, bytes, m) ->
+          let r = Mvstore.create ~nodes in
+          Mvstore.restore r im;
+          String.equal (Marshal.to_string im []) bytes
+          && agrees r m
+          && String.equal (Marshal.to_string (Mvstore.image_of r) []) bytes)
+        !images
+    in
+    List.for_all (fun op -> step op && agrees s !model) ops
+    && images_hold ()
+    && boot = boot_copy
+  in
+  QCheck.Test.make ~name:"mvstore key index agrees with sorted-assoc model" ~count:300
+    (QCheck.make gen ~print) run
+
 (* ---------- Squeue ---------- *)
 
 let test_squeue_ordering () =
@@ -721,6 +867,7 @@ let () =
           Alcotest.test_case "arena recycling" `Quick test_mvstore_arena_recycling;
           QCheck_alcotest.to_alcotest mvstore_matches_model;
           QCheck_alcotest.to_alcotest mvstore_init_keys_matches_loop;
+          QCheck_alcotest.to_alcotest mvstore_key_index_matches_model;
         ] );
       ( "squeue",
         [

@@ -306,6 +306,35 @@ let test_sss_lock_counters_balance () =
   done;
   if !aborted = 0 then Alcotest.fail "the sweep aborted nothing"
 
+(* A key holds a snapshot-queue only while the queue has entries: inserts
+   create it, the removal that empties it drops it, and read-only probes
+   create nothing.  So a quiescent cluster holds no queue at all — on the
+   node reborn from its log as on the others. *)
+let test_sss_squeues_drained () =
+  for seed = 1 to 6 do
+    let sim = Sim.create () in
+    let cl = Sss_kv.Kv.create sim (durable_config ~degree:2 ~seed) in
+    let h =
+      Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name
+        ~on_crash:(Sss_kv.Kv.crash_node cl)
+        ~on_restart:(Sss_kv.Kv.restart_node cl)
+        (crash_plan ~seed)
+    in
+    let result = drive sim ~seed ~ops:(sss_ops cl) in
+    if (Chaos.stats h).Chaos.crashes <> 1 then Alcotest.failf "seed %d: crash did not fire" seed;
+    if result.Driver.committed = 0 then Alcotest.failf "seed %d: nothing committed" seed;
+    (match Sss_kv.Kv.quiescent cl with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "seed %d: not quiescent: %s" seed msg);
+    Array.iter
+      (fun (n : Sss_kv.State.node) ->
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d node %d: snapshot-queues left" seed n.Sss_kv.State.id)
+          0
+          (Hashtbl.length n.Sss_kv.State.squeues))
+      cl.Sss_kv.State.nodes
+  done
+
 (* ---------- determinism: a durable crashy run replays byte-identically ---------- *)
 
 let test_deterministic_replay () =
@@ -340,6 +369,7 @@ let () =
           Alcotest.test_case "sss crash grid" `Quick test_sss_crash_grid;
           Alcotest.test_case "sss ro abort-free" `Quick test_sss_ro_abort_free_durable;
           Alcotest.test_case "sss lock counters balance" `Quick test_sss_lock_counters_balance;
+          Alcotest.test_case "sss snapshot-queues drained" `Quick test_sss_squeues_drained;
         ] );
       ( "determinism",
         [

@@ -210,7 +210,13 @@ let test_dispatch_modes_identical () =
    them: no value string, no cons cell.  Words allocated are a
    deterministic count (Gc.counters: minor + major - promoted), so the
    budget holds on any machine. *)
-let boot_words_budget = 12.0
+let boot_words_budget = 3.5
+
+(* Each store adopts its node's placement array as the key index and adds
+   one head word plus one state byte per key: the index counts just over
+   two words per key-replica (the resident-words accounting is exact, so
+   this bound is deterministic too). *)
+let index_words_budget = 2.25
 
 let test_boot_allocation () =
   let nodes = 16 and degree = 2 and total_keys = 200_000 in
@@ -222,11 +228,15 @@ let test_boot_allocation () =
   let sim = Sim.create () in
   let before = allocated () in
   let cl = Kv.create sim config in
-  let per_replica = (allocated () -. before) /. float_of_int (degree * total_keys) in
-  ignore (Sys.opaque_identity cl);
+  let key_replicas = float_of_int (degree * total_keys) in
+  let per_replica = (allocated () -. before) /. key_replicas in
   if per_replica > boot_words_budget then
-    Alcotest.failf "Kv.create allocated %.1f words per key-replica (budget %.0f)" per_replica
-      boot_words_budget
+    Alcotest.failf "Kv.create allocated %.2f words per key-replica (budget %.2f)" per_replica
+      boot_words_budget;
+  let index = float_of_int (Kv.mem_words cl).Mvstore.index_words /. key_replicas in
+  if index > index_words_budget then
+    Alcotest.failf "key index holds %.2f words per key-replica (budget %.2f)" index
+      index_words_budget
 
 let () =
   Alcotest.run "hotpath"
