@@ -32,10 +32,7 @@ let begin_txn cl ~node:home_id ~read_only =
   Hashtbl.replace home.active id ();
   record cl (History.Begin { txn = id; ro = read_only; node = home_id });
   (match cl.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if read_only then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string id; node = home_id; ro = read_only })
+  | Some o -> Sss_obs.Obs.txn_begin o id ~node:home_id ~ro:read_only
   | None -> ());
   (* Hardened mode: read-only transactions start from the externally
      committed (stable) view plus the node's session knowledge, so they
@@ -207,12 +204,7 @@ let commit_read_only h =
   if h.ro then cl.stats.committed_ro <- cl.stats.committed_ro + 1
   else cl.stats.committed_update <- cl.stats.committed_update + 1;
   (match cl.obs with
-  | Some o ->
-      let cls = if h.ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (now cl -. h.begin_at);
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string h.id; node = h.home.id; ro = h.ro })
+  | Some o -> Sss_obs.Obs.txn_commit o h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
   | None -> ());
   let keys = read_keys h in
   if keys <> [] then
@@ -261,11 +253,8 @@ let commit_update h =
     record cl (History.Abort { txn = h.id });
     (match cl.obs with
     | Some o ->
-        let reason = if box.any_false then "vote-false" else "vote-timeout" in
-        Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-        Sss_obs.Obs.emit o ~at:(now cl)
-          (Sss_obs.Obs.Txn_abort
-             { txn = Ids.txn_to_string h.id; node = h.home.id; ro = false; reason })
+        Sss_obs.Obs.txn_abort o h.id ~node:h.home.id ~ro:false
+          (if box.any_false then Sss_obs.Obs.Vote_false else Sss_obs.Obs.Vote_timeout)
     | None -> ());
     false
   end
@@ -303,7 +292,7 @@ let commit_update h =
         Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
       (Hashtbl.find h.home.decided_commits h.id).ddurable <- true;
       match cl.obs with
-      | Some o -> Sss_obs.Obs.observe o "lat.commit.durable" (now cl -. flush_from)
+      | Some o -> Sss_obs.Obs.commit_durable o ~since:flush_from
       | None -> ()
     end;
     let ack =
@@ -361,11 +350,7 @@ let commit_update h =
       cl.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.stats.latencies;
     record cl (History.Commit { txn = h.id; ws = ws_keys });
     (match cl.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "txn.commit.update";
-        Sss_obs.Obs.observe o "lat.txn.update" (now cl -. h.begin_at);
-        Sss_obs.Obs.emit o ~at:(now cl)
-          (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string h.id; node = h.home.id; ro = false })
+    | Some o -> Sss_obs.Obs.txn_commit o h.id ~node:h.home.id ~ro:false ~began:h.begin_at
     | None -> ());
     true
   end
@@ -389,11 +374,7 @@ let abort h =
   cl.stats.aborted <- cl.stats.aborted + 1;
   record cl (History.Abort { txn = h.id });
   (match cl.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o "txn.abort.client";
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_abort
-           { txn = Ids.txn_to_string h.id; node = h.home.id; ro = h.ro; reason = "client" })
+  | Some o -> Sss_obs.Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Sss_obs.Obs.Client
   | None -> ());
   let keys = read_keys h in
   if h.ro && keys <> [] then

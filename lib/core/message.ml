@@ -140,25 +140,52 @@ let rec wire_size ~compress payload =
       scalar + 1
       + match verdict with Vcommitted { vc; _ } -> vc_size ~compress vc | _ -> 0)
 
+(* Kind names, indexed by [kind_id]: the network observer resolves its
+   per-kind metric handles from this table once.  A list of literals is a
+   static constant, where an array would be allocated at start-up. *)
+let kind_names =
+  [
+    "delivered";
+    "read_request";
+    "read_return";
+    "prepare";
+    "vote";
+    "decide";
+    "ack";
+    "finalize";
+    "finalize_ack";
+    "wait_finalized";
+    "finalized";
+    "remove";
+    "forward_remove";
+    "dquery";
+    "doutcome";
+    "reader_probe";
+    "reader_done";
+    "recovered";
+  ]
+
 (* [Tracked] is transparent here: fault plans target logical message kinds,
    not the transport envelope. *)
-let rec kind_name = function
-  | Tracked { inner; _ } -> kind_name inner
-  | Delivered _ -> "delivered"
-  | Read_request _ -> "read_request"
-  | Read_return _ -> "read_return"
-  | Prepare _ -> "prepare"
-  | Vote _ -> "vote"
-  | Decide _ -> "decide"
-  | Ack _ -> "ack"
-  | Finalize _ -> "finalize"
-  | Finalize_ack _ -> "finalize_ack"
-  | Wait_finalized _ -> "wait_finalized"
-  | Finalized _ -> "finalized"
-  | Remove _ -> "remove"
-  | Forward_remove _ -> "forward_remove"
-  | Dquery _ -> "dquery"
-  | Doutcome _ -> "doutcome"
-  | Reader_probe _ -> "reader_probe"
-  | Reader_done _ -> "reader_done"
-  | Recovered _ -> "recovered"
+let rec kind_id = function
+  | Tracked { inner; _ } -> kind_id inner
+  | Delivered _ -> 0
+  | Read_request _ -> 1
+  | Read_return _ -> 2
+  | Prepare _ -> 3
+  | Vote _ -> 4
+  | Decide _ -> 5
+  | Ack _ -> 6
+  | Finalize _ -> 7
+  | Finalize_ack _ -> 8
+  | Wait_finalized _ -> 9
+  | Finalized _ -> 10
+  | Remove _ -> 11
+  | Forward_remove _ -> 12
+  | Dquery _ -> 13
+  | Doutcome _ -> 14
+  | Reader_probe _ -> 15
+  | Reader_done _ -> 16
+  | Recovered _ -> 17
+
+let kind_name m = List.nth kind_names (kind_id m)

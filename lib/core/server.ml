@@ -339,24 +339,13 @@ let acquire_locks t node txn ~exclusive ~shared =
   in
   (match t.obs with
   | Some o when ok && node_live t node && Locks.granted node.locks txn ->
-      Sss_obs.Obs.incr o "lock.acquire";
-      Sss_obs.Obs.emit o ~at:(now t)
-        (Sss_obs.Obs.Lock_acquire
-           {
-             txn = Ids.txn_to_string txn;
-             node = node.id;
-             keys = List.length exclusive + List.length shared;
-           })
+      Sss_obs.Obs.lock_acquire o txn ~node:node.id
+        ~keys:(List.length exclusive + List.length shared)
   | _ -> ());
   ok
 
 let count_release t node txn =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o "lock.release";
-      Sss_obs.Obs.emit o ~at:(now t)
-        (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
-  | None -> ()
+  match t.obs with Some o -> Sss_obs.Obs.lock_release o txn ~node:node.id | None -> ()
 
 let release_locks t node txn =
   (match t.obs with

@@ -391,30 +391,32 @@ let create sim (config : Config.t) =
   in
   let nodes = Array.init config.nodes (fun id -> make_node sim ~nodes:config.nodes ~id) in
   let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
+    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity sim)
     else None
   in
   (match obs with
   | Some o ->
-      Network.set_observer net (Some { Network.obs = o; kind_of = Message.kind_name });
+      Network.set_observer net
+        (Some { Network.obs = o; kind_id = Message.kind_id; kind_names = Message.kind_names });
       (* Sample per-node ingress depths on DES ticks (amortized: every
          1024th event).  The probe is passive, so the trajectory is the
          same with or without it. *)
+      let per_node family =
+        Array.init config.nodes (fun i ->
+            Sss_obs.Obs.register_gauge o (family ^ string_of_int i))
+      in
+      let queue = per_node "net.queue.node" in
+      (* storage-retention gauges (GC telemetry; O(1) counters) *)
+      let versions = per_node "store.versions.node" in
+      let entries = per_node "nlog.entries.node" in
       Sim.set_probe sim
         (Some
            (fun () ->
              if Sim.events_processed sim land 1023 = 0 then
                for i = 0 to config.nodes - 1 do
-                 Sss_obs.Obs.gauge_set o
-                   ("net.queue.node" ^ string_of_int i)
-                   (Network.queue_depth net i);
-                 (* storage-retention gauges (GC telemetry; O(1) counters) *)
-                 Sss_obs.Obs.gauge_set o
-                   ("store.versions.node" ^ string_of_int i)
-                   (Mvstore.version_count nodes.(i).store);
-                 Sss_obs.Obs.gauge_set o
-                   ("nlog.entries.node" ^ string_of_int i)
-                   (Nlog.size nodes.(i).nlog)
+                 Sss_obs.Obs.set_level o queue.(i) (Network.queue_depth net i);
+                 Sss_obs.Obs.set_level o versions.(i) (Mvstore.version_count nodes.(i).store);
+                 Sss_obs.Obs.set_level o entries.(i) (Nlog.size nodes.(i).nlog)
                done))
   | None -> ());
   (* Pre-populate every key on its replicas with a genesis version. *)
@@ -546,9 +548,7 @@ let bump_local t node =
      place; callers get a private snapshot they may share freely. *)
   (Vclock.set_into node.node_vc node.id fresh [@owned]);
   (match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o "vclock.advance";
-      Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Vclock_advance { node = node.id; value = fresh })
+  | Some o -> Sss_obs.Obs.vclock_advance o ~node:node.id ~value:fresh
   | None -> ());
   Vclock.copy node.node_vc
 
@@ -575,12 +575,7 @@ let park_writer t node txn ~stamp =
   if not (Hashtbl.mem node.parked_stamp txn) then begin
     Hashtbl.replace node.parked_stamp txn stamp;
     Stampset.add node.parked stamp;
-    match t.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "sq.park";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Park { txn = Ids.txn_to_string txn; node = node.id; stamp })
-    | None -> ()
+    match t.obs with Some o -> Sss_obs.Obs.park o txn ~node:node.id ~stamp | None -> ()
   end
 
 (* Drop only the index entry: must accompany every removal from [prepared]
@@ -591,12 +586,7 @@ let drop_parked_stamp t node txn =
   | Some stamp -> (
       Hashtbl.remove node.parked_stamp txn;
       ignore (Stampset.remove node.parked stamp);
-      match t.obs with
-      | Some o ->
-          Sss_obs.Obs.incr o "sq.unpark";
-          Sss_obs.Obs.emit o ~at:(now t)
-            (Sss_obs.Obs.Unpark { txn = Ids.txn_to_string txn; node = node.id; stamp })
-      | None -> ())
+      match t.obs with Some o -> Sss_obs.Obs.unpark o txn ~node:node.id ~stamp | None -> ())
   | None -> ()
 
 let unpark_writer t node txn =

@@ -163,9 +163,20 @@ let no_fault = { drop = false; extra_delay = 0.0; duplicates = 0 }
 
 type stats = { sent : int; delivered : int; dropped : int; bytes : int }
 
+module Obs = Sss_obs.Obs
+
 (* An observer pairs the sink with the protocol's message classifier; the
    network itself has no idea what a message means. *)
-type 'msg observer = { obs : Sss_obs.Obs.t; kind_of : 'msg -> string }
+type 'msg observer = { obs : Obs.t; kind_id : 'msg -> int; kind_names : string list }
+
+(* An installed observer, its handles resolved once: the sink's kind for
+   each of the protocol's kind ids, and each node's ingress-depth gauge. *)
+type 'msg tap = {
+  o : Obs.t;
+  kind_of : 'msg -> int;
+  kinds : Obs.kind array;
+  queue_gauge : Obs.gauge array;
+}
 
 type 'msg t = {
   sim : Sim.t;
@@ -181,7 +192,7 @@ type 'msg t = {
   mutable drop_probability : float;
   mutable perturb : (src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> 'msg -> fault) option;
   mutable fast_dispatch : bool;
-  mutable observer : 'msg observer option;
+  mutable observer : 'msg tap option;
   mutable seq : int;
   mutable sent : int;
   mutable delivered : int;
@@ -211,7 +222,19 @@ let set_handler t n f = t.nodes.(n).handler <- f
 
 let set_fast_dispatch t b = t.fast_dispatch <- b
 
-let set_observer t o = t.observer <- o
+let set_observer t o =
+  t.observer <-
+    Option.map
+      (fun { obs; kind_id; kind_names } ->
+        {
+          o = obs;
+          kind_of = kind_id;
+          kinds = Array.of_list (List.map (Obs.message_kind obs) kind_names);
+          queue_gauge =
+            Array.init (Array.length t.nodes) (fun i ->
+                Obs.register_gauge obs ("net.queue.node" ^ string_of_int i));
+        })
+      o
 
 let queue_depth t n = t.nodes.(n).queue.Iq.size
 
@@ -240,17 +263,15 @@ let[@hot] return_flight t fl =
 
 (* ---- dispatch ---- *)
 
+let[@hot] kind_of tap msg = Array.unsafe_get tap.kinds (tap.kind_of msg)
+
 (* Observation of a dispatch: end-to-end latency histogram per message
    kind plus a Dequeue trace event.  Reads the queue's popped slots; called
    only when an observer is installed. *)
-let observe_dispatch t n (o : _ observer) =
+let[@hot] observe_dispatch t n tap =
   let q = t.nodes.(n).queue in
-  let kind = o.kind_of (Obj.obj q.Iq.p_msg) in
-  let at = Sim.now t.sim in
-  let waited = at -. q.Iq.p_sent.(0) in
-  Sss_obs.Obs.observe o.obs ("lat.msg." ^ kind) waited;
-  Sss_obs.Obs.emit o.obs ~at
-    (Sss_obs.Obs.Dequeue { kind; node = n; depth = q.Iq.size; waited })
+  Obs.dequeue tap.o (kind_of tap (Obj.obj q.Iq.p_msg)) ~node:n ~depth:q.Iq.size
+    ~sent:q.Iq.p_sent
 
 (* Drain a node's ingress queue — slow (reference) path: each message
    occupies the CPU for the configured service time via a fiber sleep, then
@@ -355,28 +376,28 @@ let create ?(size_of = fun _ -> 0) ?(fast_dispatch = true) sim rng ~nodes ~confi
   done;
   t
 
+(* The one loss recorder: a message lost on the wire (crashed sender,
+   severed link, injected loss) and one lost at a destination that crashed
+   while it was in flight count alike. *)
+let[@hot] lose t ~src ~dst msg =
+  t.dropped <- t.dropped + 1;
+  match t.observer with
+  | Some tap -> Obs.drop tap.o (kind_of tap msg) ~src ~dst
+  | None -> ()
+
 let[@hot] deliver t ~prio ~src ~dst ~sent msg =
   let st = t.nodes.(dst) in
-  if st.crashed then begin
-    t.dropped <- t.dropped + 1;
-    match t.observer with
-    | Some o ->
-        Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim)
-          (Sss_obs.Obs.Drop { kind = o.kind_of msg; src; dst })
-    | None -> ()
-  end
+  if st.crashed then lose t ~src ~dst msg
   else begin
     t.seq <- t.seq + 1;
     Iq.push st.queue (pack_key ~prio ~seq:t.seq) src sent (Obj.repr msg);
     (match t.observer with
-    | Some o ->
-        let kind = o.kind_of msg in
-        let at = Sim.now t.sim in
+    | Some tap ->
+        let kind = kind_of tap msg in
         let depth = st.queue.Iq.size in
-        Sss_obs.Obs.incr o.obs ("msg.recv." ^ kind);
-        Sss_obs.Obs.emit o.obs ~at (Sss_obs.Obs.Recv { kind; src; dst });
-        Sss_obs.Obs.emit o.obs ~at (Sss_obs.Obs.Enqueue { kind; node = dst; depth });
-        Sss_obs.Obs.gauge_set o.obs ("net.queue.node" ^ string_of_int dst) depth
+        Obs.recv tap.o kind ~src ~dst;
+        Obs.enqueue tap.o kind ~node:dst ~depth;
+        Obs.set_level tap.o (Array.unsafe_get tap.queue_gauge dst) depth
     | None -> ());
     if not st.serving then begin
       st.serving <- true;
@@ -406,33 +427,17 @@ let[@hot] rec severed_mem sev (a : Sss_data.Ids.node) (b : Sss_data.Ids.node) =
 
 let[@hot] link_severed t a b = severed_mem t.severed a b
 
-let observe_loss t ~src ~dst msg =
-  match t.observer with
-  | Some o ->
-      let kind = o.kind_of msg in
-      Sss_obs.Obs.incr o.obs ("msg.lost." ^ kind);
-      Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim) (Sss_obs.Obs.Drop { kind; src; dst })
-  | None -> ()
-
 let[@hot] send t ?(prio = 100) ~src ~dst msg =
+  let bytes = t.size_of msg in
   t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + t.size_of msg;
-  (match t.observer with
-  | Some o ->
-      let kind = o.kind_of msg in
-      Sss_obs.Obs.incr o.obs ("msg.sent." ^ kind);
-      Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Send { kind; src; dst; bytes = t.size_of msg })
-  | None -> ());
+  t.bytes <- t.bytes + bytes;
+  (match t.observer with Some tap -> Obs.send tap.o (kind_of tap msg) ~src ~dst ~bytes | None -> ());
   let lost =
     t.nodes.(src).crashed
     || link_severed t src dst
     || (t.drop_probability > 0.0 && Prng.float t.rng 1.0 < t.drop_probability)
   in
-  if lost then begin
-    t.dropped <- t.dropped + 1;
-    observe_loss t ~src ~dst msg
-  end
+  if lost then lose t ~src ~dst msg
   else begin
     (* Installed fault plans see the message after the built-in loss checks;
        when no perturb is installed this path draws from the network PRNG
@@ -440,10 +445,7 @@ let[@hot] send t ?(prio = 100) ~src ~dst msg =
     let fault =
       match t.perturb with None -> no_fault | Some f -> f ~src ~dst msg
     in
-    if fault.drop then begin
-      t.dropped <- t.dropped + 1;
-      observe_loss t ~src ~dst msg
-    end
+    if fault.drop then lose t ~src ~dst msg
     else begin
       let latency =
         if src = dst then t.config.self_latency

@@ -58,17 +58,26 @@ val set_fast_dispatch : 'msg t -> bool -> unit
 
 (** {1 Observation} *)
 
-type 'msg observer = { obs : Sss_obs.Obs.t; kind_of : 'msg -> string }
-(** A trace/metrics sink plus the protocol's message classifier ([kind_of]
-    names a message's kind, e.g. ["Prepare"]). *)
+type 'msg observer = {
+  obs : Sss_obs.Obs.t;
+  kind_id : 'msg -> int;
+  kind_names : string list;
+}
+(** A trace/metrics sink plus the protocol's message classifier: [kind_id]
+    numbers a message's kind and [kind_names] names each number in order
+    (e.g. ["prepare"]). *)
 
 val set_observer : 'msg t -> 'msg observer option -> unit
-(** Install (or remove) an observer.  With one installed the network emits
+(** Install (or remove) an observer, resolving its per-kind and per-node
+    handles once.  With one installed the network emits
     [Send]/[Recv]/[Enqueue]/[Dequeue]/[Drop] trace events, per-kind
     sent/recv/lost counters, per-kind end-to-end latency histograms
     ([lat.msg.<kind>]) and per-node ingress-depth gauges
-    ([net.queue.node<i>]).  Observation is passive: it draws no randomness
-    and schedules nothing, so trajectories are unchanged. *)
+    ([net.queue.node<i>]).  A message lost anywhere — on the wire or at a
+    destination that crashed while it was in flight — counts in
+    [msg.lost.<kind>], so once quiescent [sent = recv + lost] per kind
+    (absent duplication faults).  Observation is passive: it draws no
+    randomness and schedules nothing, so trajectories are unchanged. *)
 
 val queue_depth : 'msg t -> Sss_data.Ids.node -> int
 (** Current ingress-queue depth of a node (for gauge sampling). *)

@@ -1,12 +1,18 @@
+(* The running sum, minimum and maximum live in a 3-slot float array
+   ([fl]) rather than mutable float fields: a mixed record's float field is
+   boxed, so every [observe] would allocate a float and the write barrier
+   would promote it into this long-lived histogram. *)
 type t = {
   lo : float;
   ratio : float;
   counts : int array;
   mutable total : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
+  fl : float array;  (* [| sum; min; max |] *)
 }
+
+let sum_i = 0
+let min_i = 1
+let max_i = 2
 
 let create ?(lo = 1e-7) ?(ratio = 2.0) ?(buckets = 48) () =
   if not (lo > 0.0) then invalid_arg "Hist.create: lo must be positive";
@@ -17,9 +23,7 @@ let create ?(lo = 1e-7) ?(ratio = 2.0) ?(buckets = 48) () =
     ratio;
     counts = Array.make buckets 0;
     total = 0;
-    sum = 0.0;
-    vmin = infinity;
-    vmax = neg_infinity;
+    fl = [| 0.0; infinity; neg_infinity |];
   }
 
 let bucket_count t = Array.length t.counts
@@ -27,7 +31,7 @@ let bucket_count t = Array.length t.counts
 (* Iterative edge walk rather than a log/exp round trip: 48 multiplies at
    most, and the boundary semantics are exact (a value equal to an edge
    lands in the bucket above it, with no floating-point log fuzz). *)
-let bucket_of t v =
+let[@inline] bucket_index t v =
   let n = Array.length t.counts in
   if v < t.lo then 0
   else begin
@@ -39,6 +43,8 @@ let bucket_of t v =
     done;
     !i
   end
+
+let bucket_of t v = bucket_index t v
 
 let bucket_bounds t i =
   let n = Array.length t.counts in
@@ -53,24 +59,31 @@ let bucket_bounds t i =
     (!lower, upper)
   end
 
-let observe t v =
+(* Inlined into both entry points so that [observe_slot]'s value is never
+   boxed on its way in. *)
+let[@inline] record t v =
   let v = if v < 0.0 then 0.0 else v in
-  let i = bucket_of t v in
+  let i = bucket_index t v in
+  let fl = t.fl in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. v;
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v
+  fl.(sum_i) <- fl.(sum_i) +. v;
+  if v < fl.(min_i) then fl.(min_i) <- v;
+  if v > fl.(max_i) then fl.(max_i) <- v
+
+let[@hot] observe t v = record t v
+
+let[@hot] observe_slot t a i = record t (Array.unsafe_get a i)
 
 let count t = t.total
 
-let sum t = t.sum
+let sum t = t.fl.(sum_i)
 
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0.0 else t.fl.(sum_i) /. float_of_int t.total
 
-let min_value t = if t.total = 0 then 0.0 else t.vmin
+let min_value t = if t.total = 0 then 0.0 else t.fl.(min_i)
 
-let max_value t = if t.total = 0 then 0.0 else t.vmax
+let max_value t = if t.total = 0 then 0.0 else t.fl.(max_i)
 
 let counts t = Array.copy t.counts
 
@@ -97,7 +110,8 @@ let percentile t p =
        done
      with Exit -> ());
     let _, upper = bucket_bounds t !found in
-    if upper > t.vmax then t.vmax else upper
+    let vmax = t.fl.(max_i) in
+    if upper > vmax then vmax else upper
   end
 
 let same_shape a b =
@@ -108,9 +122,9 @@ let merge a b =
   let m = create ~lo:a.lo ~ratio:a.ratio ~buckets:(Array.length a.counts) () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.total <- a.total + b.total;
-  m.sum <- a.sum +. b.sum;
-  m.vmin <- Float.min a.vmin b.vmin;
-  m.vmax <- Float.max a.vmax b.vmax;
+  m.fl.(sum_i) <- a.fl.(sum_i) +. b.fl.(sum_i);
+  m.fl.(min_i) <- Float.min a.fl.(min_i) b.fl.(min_i);
+  m.fl.(max_i) <- Float.max a.fl.(max_i) b.fl.(max_i);
   m
 
 let to_json t =

@@ -20,7 +20,12 @@ val create : ?lo:float -> ?ratio:float -> ?buckets:int -> unit -> t
     bucket count (default [48]). *)
 
 val observe : t -> float -> unit
-(** Record one (non-negative) value. *)
+(** Record one (non-negative) value; allocates nothing. *)
+
+val observe_slot : t -> float array -> int -> unit
+(** [observe_slot t a i] records [a.(i)].  Without flambda a float crossing
+    a function boundary is boxed, so a caller holding the value unboxed
+    writes it into a float array it owns and passes the slot instead. *)
 
 val count : t -> int
 val sum : t -> float

@@ -10,11 +10,18 @@
     observer-effect contract pinned by [test/test_obs.ml] and the
     [bench/smoke.sh] gate).
 
-    See docs/OBSERVABILITY.md for the event taxonomy and metric naming
-    scheme. *)
+    Recording allocates nothing either.  Metrics sit in int-indexed arrays
+    behind handles that are registered once, and the trace ring is a
+    struct of unboxed arrays (transaction ids stored as {!Sss_data.Ids.pack}),
+    decoded into {!event}s only when read back.  The typed emitters below
+    are the only way to write to the ring.
 
-(** One protocol-level occurrence.  Transaction ids are pre-rendered
-    strings ([Ids.txn_to_string]) so this library depends on nothing. *)
+    See docs/OBSERVABILITY.md for the event taxonomy, the ring layout and
+    the metric naming scheme. *)
+
+open Sss_data
+
+(** One protocol-level occurrence, as read back by {!events}. *)
 type event =
   | Send of { kind : string; src : int; dst : int; bytes : int }
       (** a message left [src] for [dst] *)
@@ -26,15 +33,15 @@ type event =
       (** dispatched to its handler; [waited] is virtual time since send *)
   | Drop of { kind : string; src : int; dst : int }
       (** lost: crashed endpoint, severed link, or injected loss *)
-  | Txn_begin of { txn : string; node : int; ro : bool }
-  | Txn_commit of { txn : string; node : int; ro : bool }
-  | Txn_abort of { txn : string; node : int; ro : bool; reason : string }
-  | Park of { txn : string; node : int; stamp : int }
+  | Txn_begin of { txn : Ids.txn; node : int; ro : bool }
+  | Txn_commit of { txn : Ids.txn; node : int; ro : bool }
+  | Txn_abort of { txn : Ids.txn; node : int; ro : bool; reason : string }
+  | Park of { txn : Ids.txn; node : int; stamp : int }
       (** an applied writer entered the parked (not externally committed) set *)
-  | Unpark of { txn : string; node : int; stamp : int }
+  | Unpark of { txn : Ids.txn; node : int; stamp : int }
       (** it left that set (finalized or aborted) *)
-  | Lock_acquire of { txn : string; node : int; keys : int }
-  | Lock_release of { txn : string; node : int }
+  | Lock_acquire of { txn : Ids.txn; node : int; keys : int }
+  | Lock_release of { txn : Ids.txn; node : int }
   | Vclock_advance of { node : int; value : int }
       (** a node bumped its own vector-clock entry to [value] *)
   | Retry of { src : int; dst : int; attempt : int }
@@ -44,28 +51,127 @@ type event =
 
 type stamped = { at : float;  (** virtual time *) seq : int; event : event }
 
+(** Why a transaction aborted; rendered as [txn.abort.<name>] and as the
+    trace's [reason] field. *)
+type abort_reason =
+  | Client  (** ["client"]: the client gave up before commit *)
+  | Vote  (** ["vote"]: a participant voted no *)
+  | Vote_false  (** ["vote-false"]: SSS, a participant voted no *)
+  | Vote_timeout  (** ["vote-timeout"]: SSS, the vote round timed out *)
+  | Conflict  (** ["conflict"]: Walter, a write-write conflict at the home *)
+  | Ro_rounds  (** ["ro-rounds"]: ROCOCO, read-only rounds never converged *)
+
+val reason_name : abort_reason -> string
+
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A fresh observer whose trace ring holds [capacity] events
-    (default 65536); older events are overwritten and counted in
-    {!dropped}. *)
+val create : ?capacity:int -> Sss_sim.Sim.t -> t
+(** A fresh observer on the simulator's virtual clock, whose trace ring
+    holds [capacity] events (default 65536); older events are overwritten
+    and counted in {!dropped}.  The ring grows by doubling as events
+    arrive, so a short run never pays for the full capacity. *)
 
-(** {1 Recording} *)
+(** {1 Handles}
 
-val emit : t -> at:float -> event -> unit
+    Register a metric once, then bump it through its handle: no string is
+    built, hashed or compared per bump, and nothing is allocated.
+    Registering a name twice returns the same handle.  A registered metric
+    that is never bumped does not appear in any read-back. *)
+
+type counter [@@immediate]
+type hist [@@immediate]
+type gauge [@@immediate]
+
+type kind [@@immediate]
+(** A message kind: its trace name plus its [msg.sent.<kind>],
+    [msg.recv.<kind>], [msg.lost.<kind>] counters and [lat.msg.<kind>]
+    histogram. *)
+
+val register_counter : t -> string -> counter
+val register_hist : t -> string -> hist
+(** Histograms use the {!Hist.create} defaults. *)
+
+val register_gauge : t -> string -> gauge
+val message_kind : t -> string -> kind
+
+val bump : t -> counter -> unit
+val bump_by : t -> counter -> int -> unit
+
+val record_since : t -> hist -> since:float -> unit
+(** Record the virtual time elapsed since [since]. *)
+
+val set_level : t -> gauge -> int -> unit
+(** Set a gauge's current value; its peak is tracked automatically. *)
+
+(** {1 Typed emitters}
+
+    Each writes one event to the ring, stamped with the current virtual
+    time, and bumps the metrics that go with it. *)
+
+val send : t -> kind -> src:int -> dst:int -> bytes:int -> unit
+(** [Send]; bumps [msg.sent.<kind>]. *)
+
+val recv : t -> kind -> src:int -> dst:int -> unit
+(** [Recv]; bumps [msg.recv.<kind>]. *)
+
+val enqueue : t -> kind -> node:int -> depth:int -> unit
+
+val dequeue : t -> kind -> node:int -> depth:int -> sent:float array -> unit
+(** [Dequeue], where [sent.(0)] is the message's send time (a float array
+    so the time crosses no function boundary boxed); records the wait into
+    [lat.msg.<kind>]. *)
+
+val drop : t -> kind -> src:int -> dst:int -> unit
+(** [Drop]; bumps [msg.lost.<kind>].  The one loss recorder, wherever the
+    message was lost. *)
+
+val txn_begin : t -> Ids.txn -> node:int -> ro:bool -> unit
+(** [Txn_begin]; bumps [txn.begin.<cls>] ([cls] is [ro] or [update]). *)
+
+val txn_commit : t -> Ids.txn -> node:int -> ro:bool -> began:float -> unit
+(** [Txn_commit]; bumps [txn.commit.<cls>] and records the time since
+    [began] into [lat.txn.<cls>]. *)
+
+val txn_abort : t -> Ids.txn -> node:int -> ro:bool -> abort_reason -> unit
+(** [Txn_abort]; bumps [txn.abort.<reason>]. *)
+
+val commit_durable : t -> since:float -> unit
+(** A commit decision reached stable storage: records the time since
+    [since] into [lat.commit.durable].  No trace event. *)
+
+val park : t -> Ids.txn -> node:int -> stamp:int -> unit
+(** [Park]; bumps [sq.park]. *)
+
+val unpark : t -> Ids.txn -> node:int -> stamp:int -> unit
+(** [Unpark]; bumps [sq.unpark]. *)
+
+val lock_acquire : t -> Ids.txn -> node:int -> keys:int -> unit
+(** [Lock_acquire]; bumps [lock.acquire]. *)
+
+val lock_release : t -> Ids.txn -> node:int -> unit
+(** [Lock_release]; bumps [lock.release]. *)
+
+val vclock_advance : t -> node:int -> value:int -> unit
+(** [Vclock_advance]; bumps [vclock.advance]. *)
+
+val retry : t -> src:int -> dst:int -> attempt:int -> unit
+(** [Retry]; bumps [transport.retry]. *)
+
+val stall : t -> src:int -> dst:int -> unit
+(** [Stall]; bumps [transport.stall]. *)
+
+(** {1 Recording by name}
+
+    Each resolves the name's handle, registering it on first use, then
+    bumps it.  For call sites off the hot path. *)
 
 val incr : t -> string -> unit
-(** Bump a named counter (created on first use). *)
-
 val add : t -> string -> int -> unit
 
 val observe : t -> string -> float -> unit
-(** Record a value into a named histogram (created on first use with the
-    {!Hist.create} defaults). *)
+(** Record a value into a named histogram. *)
 
 val gauge_set : t -> string -> int -> unit
-(** Set a named gauge's current value; its peak is tracked automatically. *)
 
 (** {1 Reading back} *)
 
@@ -82,15 +188,16 @@ val counter : t -> string -> int
 (** [0] when never bumped. *)
 
 val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
+(** All bumped counters, sorted by name. *)
 
 val hist : t -> string -> Hist.t option
+(** [None] until the histogram holds a value. *)
 
 val hists : t -> (string * Hist.t) list
-(** All histograms, sorted by name. *)
+(** All non-empty histograms, sorted by name. *)
 
 val gauges : t -> (string * (int * int)) list
-(** All gauges as [(name, (current, peak))], sorted by name. *)
+(** All set gauges as [(name, (current, peak))], sorted by name. *)
 
 val kind_of_event : event -> string
 (** The variant's name in the JSONL dump: ["send"], ["txn_commit"], ... *)
@@ -98,7 +205,8 @@ val kind_of_event : event -> string
 (** {1 Dumps} *)
 
 val event_json : stamped -> string
-(** One trace event as a single-line JSON object. *)
+(** One trace event as a single-line JSON object; transaction ids render
+    as {!Sss_data.Ids.txn_to_string}. *)
 
 val trace_jsonl : t -> string
 (** The retained trace as JSON Lines, oldest first, one event per line. *)

@@ -34,6 +34,7 @@ open Sss_sim
 open Sss_data
 open Sss_net
 open Sss_consistency
+module Obs = Sss_obs.Obs
 
 type ts = { num : int; owner : Ids.txn }
 
@@ -62,18 +63,36 @@ let rec priority = function
   | Tracked { inner; _ } -> priority inner
   | Delivered _ -> 10
 
-let rec message_kind = function
-  | Dispatch _ -> "dispatch"
-  | Dispatch_ack _ -> "dispatch_ack"
-  | Commit _ -> "commit"
-  | Commit_ack _ -> "commit_ack"
-  | Ro_read _ -> "ro_read"
-  | Ro_ret _ -> "ro_return"
-  | Cancel _ -> "cancel"
-  | Alive_query _ -> "alive_query"
-  | Alive_ret _ -> "alive_return"
-  | Tracked { inner; _ } -> message_kind inner
-  | Delivered _ -> "delivered"
+(* Kind names, indexed by [kind_id] (the network observer resolves its
+   per-kind handles from this table once). *)
+let kind_names =
+  [
+    "dispatch";
+    "dispatch_ack";
+    "commit";
+    "commit_ack";
+    "ro_read";
+    "ro_return";
+    "cancel";
+    "alive_query";
+    "alive_return";
+    "delivered";
+  ]
+
+let rec kind_id = function
+  | Dispatch _ -> 0
+  | Dispatch_ack _ -> 1
+  | Commit _ -> 2
+  | Commit_ack _ -> 3
+  | Ro_read _ -> 4
+  | Ro_ret _ -> 5
+  | Cancel _ -> 6
+  | Alive_query _ -> 7
+  | Alive_ret _ -> 8
+  | Delivered _ -> 9
+  | Tracked { inner; _ } -> kind_id inner
+
+let message_kind m = List.nth kind_names (kind_id m)
 
 type cell = {
   mutable value : string;
@@ -140,7 +159,7 @@ type cluster = {
   rel : msg Reliable.t;
   nodes : node array;
   history : History.t;
-  obs : Sss_obs.Obs.t option;
+  obs : Obs.t option;
 }
 
 type handle = {
@@ -156,32 +175,6 @@ type handle = {
 }
 
 let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
 
 let send t ~src ~dst payload =
   let prio = priority payload in
@@ -370,8 +363,7 @@ let handle_commit t (node : node) ~txn ~ts ~writes ~round =
       let lsn = log node (RInsert { txn; ts; writes }) in
       if log_sync node lsn && node_live t node then begin
         (match t.obs with
-        | Some o ->
-            Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now t.sim -. flush_began)
+        | Some o -> Obs.commit_durable o ~since:flush_began
         | None -> ());
         Hashtbl.remove node.staged txn;
         insert_positioned t node ~txn ~ts ~writes
@@ -530,11 +522,11 @@ let create sim (config : Sss_kv.Config.t) =
         }
   in
   let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
+    if config.observe then Some (Obs.create ~capacity:config.trace_capacity sim)
     else None
   in
   (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
+  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_id; kind_names })
   | None -> ());
   Reliable.set_obs rel obs;
   let t =
@@ -690,7 +682,7 @@ let begin_txn cl ~node ~read_only =
        commit/abort deregisters it (or a crash wipes the table) *)
     Hashtbl.replace home.inflight id ();
   record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
+  (match cl.obs with Some o -> Obs.txn_begin o id ~node ~ro:read_only | None -> ());
   { cl; home; id; ro = read_only; rs = []; ws = []; counters = []; finished = false;
     begin_at = Sim.now cl.sim }
 
@@ -795,7 +787,9 @@ let commit_update h =
   Hashtbl.remove h.home.ack_boxes h.id;
   Hashtbl.remove h.home.inflight h.id;
   record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-  obs_commit cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+  (match cl.obs with
+  | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:false ~began:h.begin_at
+  | None -> ());
   true
 
 (* Round-based read-only: re-read the key set until two consecutive rounds
@@ -838,11 +832,15 @@ let commit_read_only h =
         (fun (key, _, writer, _) -> record cl (History.Read { txn = h.id; key; writer }))
         round;
       record cl (History.Commit { txn = h.id; ws = [] });
-      obs_commit cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at;
+      (match cl.obs with
+      | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:true ~began:h.begin_at
+      | None -> ());
       true
   | None ->
       record cl (History.Abort { txn = h.id });
-      obs_abort cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:"ro-rounds";
+      (match cl.obs with
+      | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:true Obs.Ro_rounds
+      | None -> ());
       false
 
 let commit h =
@@ -851,13 +849,17 @@ let commit h =
   if h.ro then
     if h.rs = [] then (
       record h.cl (History.Commit { txn = h.id; ws = [] });
-      obs_commit h.cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at;
+      (match h.cl.obs with
+      | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:true ~began:h.begin_at
+      | None -> ());
       true)
     else commit_read_only h
   else if h.ws = [] && h.rs = [] then (
     Hashtbl.remove h.home.inflight h.id;
     record h.cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit h.cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+    (match h.cl.obs with
+    | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:false ~began:h.begin_at
+    | None -> ());
     true)
   else commit_update h
 
@@ -875,7 +877,9 @@ let abort h =
       (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.id; keys }))
       (replica_nodes h.cl keys);
   record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  (match h.cl.obs with
+  | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Client
+  | None -> ())
 
 let txn_id h = h.id
 

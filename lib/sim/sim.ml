@@ -88,6 +88,8 @@ let create () =
 
 let[@inline] now t = Array.unsafe_get t.clock 0
 
+let clock t = t.clock
+
 let events_processed t = t.processed
 
 let[@inline] [@hot] enqueue t ~prio ~delay ~fiber run =

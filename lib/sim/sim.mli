@@ -25,6 +25,11 @@ val tune_gc : unit -> unit
 val now : t -> float
 (** Current virtual time, in seconds. *)
 
+val clock : t -> float array
+(** The one-slot array that holds {!now}, for readers that must not
+    allocate: without flambda a float returned across a module boundary is
+    boxed, while [(clock t).(0)] is read unboxed.  Read-only. *)
+
 val events_processed : t -> int
 (** Number of events executed so far (for reporting and loop guards). *)
 

@@ -15,13 +15,38 @@ type stats = {
   recovery_seconds : float;
 }
 
+(* The log's metrics, their handles resolved once at [create]. *)
+type meters = {
+  o : Sss_obs.Obs.t;
+  flush : Sss_obs.Obs.counter;
+  flush_records : Sss_obs.Obs.counter;
+  lat_flush : Sss_obs.Obs.hist;
+  checkpoint : Sss_obs.Obs.counter;
+  lat_checkpoint : Sss_obs.Obs.hist;
+  recovery : Sss_obs.Obs.counter;
+  lat_recovery : Sss_obs.Obs.hist;
+}
+
+let meters o =
+  let c = Sss_obs.Obs.register_counter o and h = Sss_obs.Obs.register_hist o in
+  {
+    o;
+    flush = c "log.flush";
+    flush_records = c "log.flush.records";
+    lat_flush = h "lat.log.flush";
+    checkpoint = c "log.checkpoint";
+    lat_checkpoint = h "lat.log.checkpoint";
+    recovery = c "log.recovery";
+    lat_recovery = h "lat.log.recovery";
+  }
+
 type ('r, 's) t = {
   sim : Sim.t;
   dev : Iodev.t;
   record_bytes : 'r -> int;
   snapshot : unit -> 's;
   snapshot_bytes : 's -> int;
-  obs : Sss_obs.Obs.t option;
+  obs : meters option;
   (* volatile: lost at crash *)
   mutable buffer : (int * 'r) list;  (* newest first *)
   mutable buffer_bytes : int;
@@ -57,7 +82,7 @@ let create sim dev ~record_bytes ~snapshot ~snapshot_bytes ?obs () =
     record_bytes;
     snapshot;
     snapshot_bytes;
-    obs;
+    obs = Option.map meters obs;
     buffer = [];
     buffer_bytes = 0;
     flush_inflight = false;
@@ -103,10 +128,10 @@ let rec start_flush t =
             t.st_records <- t.st_records + count;
             t.st_bytes <- t.st_bytes + bytes;
             (match t.obs with
-            | Some o ->
-                Sss_obs.Obs.incr o "log.flush";
-                Sss_obs.Obs.add o "log.flush.records" count;
-                Sss_obs.Obs.observe o "lat.log.flush" (Sim.now t.sim -. began)
+            | Some m ->
+                Sss_obs.Obs.bump m.o m.flush;
+                Sss_obs.Obs.bump_by m.o m.flush_records count;
+                Sss_obs.Obs.record_since m.o m.lat_flush ~since:began
             | None -> ());
             Sim.Cond.broadcast t.sim t.durable_changed;
             start_flush t
@@ -140,9 +165,9 @@ let rec take_checkpoint t =
           (* truncation: records the snapshot covers are dead *)
           t.durable <- List.filter (fun (lsn, _) -> lsn >= boundary) t.durable;
           (match t.obs with
-          | Some o ->
-              Sss_obs.Obs.incr o "log.checkpoint";
-              Sss_obs.Obs.observe o "lat.log.checkpoint" (Sim.now t.sim -. began)
+          | Some m ->
+              Sss_obs.Obs.bump m.o m.checkpoint;
+              Sss_obs.Obs.record_since m.o m.lat_checkpoint ~since:began
           | None -> ());
           if dirty t then maybe_arm t
         end)
@@ -212,9 +237,9 @@ let recover t k =
         t.st_replayed <- t.st_replayed + List.length tail;
         t.st_recovery_seconds <- t.st_recovery_seconds +. (Sim.now t.sim -. began);
         (match t.obs with
-        | Some o ->
-            Sss_obs.Obs.incr o "log.recovery";
-            Sss_obs.Obs.observe o "lat.log.recovery" (Sim.now t.sim -. began)
+        | Some m ->
+            Sss_obs.Obs.bump m.o m.recovery;
+            Sss_obs.Obs.record_since m.o m.lat_recovery ~since:began
         | None -> ());
         let recovered = match t.checkpoint with Some (s, _) -> Some s | None -> None in
         k ~recovered ~replay:(List.map snd tail)

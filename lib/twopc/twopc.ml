@@ -2,6 +2,7 @@ open Sss_sim
 open Sss_data
 open Sss_net
 open Sss_consistency
+module Obs = Sss_obs.Obs
 
 (* Single-version store: value and the writer that produced it (version
    identity, used for validation and by the consistency checker). *)
@@ -35,17 +36,34 @@ let rec priority = function
   | Tracked { inner; _ } -> priority inner
   | Delivered _ -> 10
 
-let rec message_kind = function
-  | Read_req _ -> "read_request"
-  | Read_ret _ -> "read_return"
-  | Prepare _ -> "prepare"
-  | Vote _ -> "vote"
-  | Decide _ -> "decide"
-  | Applied _ -> "applied"
-  | Query _ -> "query"
-  | Outcome _ -> "outcome"
-  | Tracked { inner; _ } -> message_kind inner
-  | Delivered _ -> "delivered"
+(* Kind names, indexed by [kind_id] (the network observer resolves its
+   per-kind handles from this table once). *)
+let kind_names =
+  [
+    "read_request";
+    "read_return";
+    "prepare";
+    "vote";
+    "decide";
+    "applied";
+    "query";
+    "outcome";
+    "delivered";
+  ]
+
+let rec kind_id = function
+  | Read_req _ -> 0
+  | Read_ret _ -> 1
+  | Prepare _ -> 2
+  | Vote _ -> 3
+  | Decide _ -> 4
+  | Applied _ -> 5
+  | Query _ -> 6
+  | Outcome _ -> 7
+  | Delivered _ -> 8
+  | Tracked { inner; _ } -> kind_id inner
+
+let message_kind m = List.nth kind_names (kind_id m)
 
 type prep = {
   rs_local : (Ids.key * Ids.txn) list;
@@ -107,7 +125,7 @@ type cluster = {
   rel : msg Reliable.t;
   nodes : node array;
   history : History.t;
-  obs : Sss_obs.Obs.t option;
+  obs : Obs.t option;
 }
 
 type handle = {
@@ -122,34 +140,6 @@ type handle = {
 }
 
 let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-(* Transaction-class observation shared by all three baselines' shapes:
-   commit/abort counters, per-class latency histograms, lifecycle events. *)
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
 
 let replica_nodes t keys =
   List.sort_uniq Int.compare (List.concat_map (fun k -> Replication.replicas t.repl k) keys)
@@ -397,11 +387,11 @@ let create sim (config : Sss_kv.Config.t) =
         }
   in
   let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
+    if config.observe then Some (Obs.create ~capacity:config.trace_capacity sim)
     else None
   in
   (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
+  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_id; kind_names })
   | None -> ());
   Reliable.set_obs rel obs;
   let t =
@@ -541,7 +531,7 @@ let begin_txn cl ~node ~read_only =
   if not home.alive then Rpc.crashed ~system:"2pc" ~node;
   let id = Ids.Gen.next home.gen in
   record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
+  (match cl.obs with Some o -> Obs.txn_begin o id ~node ~ro:read_only | None -> ());
   { cl; home; id; ro = read_only; rs = []; ws = []; finished = false;
     begin_at = Sim.now cl.sim }
 
@@ -583,7 +573,9 @@ let commit h =
   let keys = List.map fst h.rs @ List.map fst h.ws in
   if keys = [] then begin
     record cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+    (match cl.obs with
+    | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
+    | None -> ());
     true
   end
   else begin
@@ -614,7 +606,9 @@ let commit h =
         (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
         participants;
       record cl (History.Abort { txn = h.id });
-      obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+      (match cl.obs with
+      | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Vote
+      | None -> ());
       false
     end
     else begin
@@ -631,8 +625,7 @@ let commit h =
           Rpc.crashed ~system:"2pc" ~node:h.home.id;
         Hashtbl.replace h.home.decided h.id true;
         match cl.obs with
-        | Some o ->
-            Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now cl.sim -. flush_began)
+        | Some o -> Obs.commit_durable o ~since:flush_began
         | None -> ()
       end;
       let write_nodes = replica_nodes cl (List.map fst h.ws) in
@@ -656,7 +649,9 @@ let commit h =
         if not (home_live cl h.home) then Rpc.crashed ~system:"2pc" ~node:h.home.id
       end;
       record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-      obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+      (match cl.obs with
+      | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
+      | None -> ());
       true
     end
   end
@@ -665,7 +660,9 @@ let abort h =
   if h.finished then invalid_arg "Twopc: abort on a finished transaction";
   h.finished <- true;
   record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  (match h.cl.obs with
+  | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Client
+  | None -> ())
 
 let txn_id h = h.id
 

@@ -25,6 +25,7 @@ open Sss_sim
 open Sss_data
 open Sss_net
 open Sss_consistency
+module Obs = Sss_obs.Obs
 
 type version = {
   value : string;
@@ -71,18 +72,36 @@ let rec priority = function
   | Tracked { inner; _ } -> priority inner
   | Delivered _ -> 10
 
-let rec message_kind = function
-  | Read_req _ -> "read_request"
-  | Read_ret _ -> "read_return"
-  | Wprepare _ -> "prepare"
-  | Wvote _ -> "vote"
-  | Wdecide _ -> "decide"
-  | Propagate _ -> "propagate"
-  | Query _ -> "query"
-  | Outcome _ -> "outcome"
-  | Pull _ -> "pull"
-  | Tracked { inner; _ } -> message_kind inner
-  | Delivered _ -> "delivered"
+(* Kind names, indexed by [kind_id] (the network observer resolves its
+   per-kind handles from this table once). *)
+let kind_names =
+  [
+    "read_request";
+    "read_return";
+    "prepare";
+    "vote";
+    "decide";
+    "propagate";
+    "query";
+    "outcome";
+    "pull";
+    "delivered";
+  ]
+
+let rec kind_id = function
+  | Read_req _ -> 0
+  | Read_ret _ -> 1
+  | Wprepare _ -> 2
+  | Wvote _ -> 3
+  | Wdecide _ -> 4
+  | Propagate _ -> 5
+  | Query _ -> 6
+  | Outcome _ -> 7
+  | Pull _ -> 8
+  | Delivered _ -> 9
+  | Tracked { inner; _ } -> kind_id inner
+
+let message_kind m = List.nth kind_names (kind_id m)
 
 type vote_box = {
   expect : int;
@@ -150,7 +169,7 @@ type cluster = {
   rel : msg Reliable.t;
   nodes : node array;
   history : History.t;
-  obs : Sss_obs.Obs.t option;
+  obs : Obs.t option;
 }
 
 type handle = {
@@ -165,32 +184,6 @@ type handle = {
 }
 
 let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
 
 let send t ~src ~dst payload =
   let prio = priority payload in
@@ -537,11 +530,11 @@ let create sim (config : Sss_kv.Config.t) =
         }
   in
   let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
+    if config.observe then Some (Obs.create ~capacity:config.trace_capacity sim)
     else None
   in
   (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
+  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_id; kind_names })
   | None -> ());
   Reliable.set_obs rel obs;
   let t =
@@ -707,7 +700,7 @@ let begin_txn cl ~node ~read_only =
   if not home.alive then Rpc.crashed ~system:"walter" ~node;
   let id = Ids.Gen.next home.gen in
   record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
+  (match cl.obs with Some o -> Obs.txn_begin o id ~node ~ro:read_only | None -> ());
   { cl; home; id; ro = read_only; start = home.applied; ws = []; finished = false;
     begin_at = Sim.now cl.sim }
 
@@ -765,13 +758,14 @@ let commit_at_home h =
       Rpc.crashed ~system:"walter" ~node:h.home.id;
     Hashtbl.replace h.home.committed h.id true;
     match cl.obs with
-    | Some o ->
-        Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now cl.sim -. flush_began)
+    | Some o -> Obs.commit_durable o ~since:flush_began
     | None -> ()
   end;
   apply_committed cl h.home ~txn:h.id ~site:h.home.id ~seq ~start:h.start ~writes:h.ws;
   record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-  obs_commit cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+  (match cl.obs with
+  | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:false ~began:h.begin_at
+  | None -> ());
   for dst = 0 to cl.config.Sss_kv.Config.nodes - 1 do
     if dst <> h.home.id then
       send cl ~src:h.home.id ~dst
@@ -786,7 +780,9 @@ let commit h =
   if h.ws = [] then begin
     (* read-only (or write-free): purely local, never aborts *)
     record cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+    (match cl.obs with
+    | Some o -> Obs.txn_commit o h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
+    | None -> ());
     true
   end
   else begin
@@ -815,7 +811,9 @@ let commit h =
         else begin
           Locks.release_txn h.home.locks h.id;
           record cl (History.Abort { txn = h.id });
-          obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"conflict";
+          (match cl.obs with
+          | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Conflict
+          | None -> ());
           false
         end
     | _ ->
@@ -844,7 +842,9 @@ let commit h =
         if all_ok then commit_at_home h
         else begin
           record cl (History.Abort { txn = h.id });
-          obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+          (match cl.obs with
+          | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Vote
+          | None -> ());
           false
         end
   end
@@ -853,7 +853,9 @@ let abort h =
   if h.finished then invalid_arg "Walter: abort on a finished transaction";
   h.finished <- true;
   record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  (match h.cl.obs with
+  | Some o -> Obs.txn_abort o h.id ~node:h.home.id ~ro:h.ro Obs.Client
+  | None -> ())
 
 let txn_id h = h.id
 

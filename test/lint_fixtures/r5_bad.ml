@@ -1,5 +1,5 @@
 (* R5 fixture: ad-hoc printing from library code.  Trace emission must go
-   through Obs.emit (docs/OBSERVABILITY.md).  Expected findings, in order:
+   through the Obs emitters (docs/OBSERVABILITY.md).  Expected findings, in order:
    print_endline, Printf.printf, Format.eprintf, prerr_string,
    print_string (bare mention passed as a value). *)
 

@@ -1,8 +1,8 @@
 (* R5 fixture, clean twin: emission through the observability sink, string
    building (always legal), and a deliberate CLI print under [@print_ok]. *)
 
-let announce_commit obs ~at txn =
-  Sss_obs.Obs.emit obs ~at (Sss_obs.Obs.Txn_commit { txn; node = 0; ro = false })
+let announce_commit obs txn ~began =
+  Sss_obs.Obs.txn_commit obs txn ~node:0 ~ro:false ~began
 
 let describe_queue depth = Printf.sprintf "queue depth: %d" depth
 

@@ -36,7 +36,7 @@
       [@order_ok], asserting the result is insensitive to bucket order.
     - R5 [no ad-hoc printing]: the stdout/stderr printers
       ([print_string], [Printf.printf], [Format.eprintf], ...) are banned
-      under [lib/] — trace emission goes through [Obs.emit]
+      under [lib/] — trace emission goes through [Obs]'s typed emitters
       (docs/OBSERVABILITY.md) so it is ring-buffered, virtual-time-stamped,
       and absent when [Config.observe] is off.  [lib/experiments] (the
       figure printers) is exempt by scope; [@print_ok] suppresses.
@@ -104,7 +104,7 @@ let rule_doc = function
   | R2 -> "no bare polymorphic compare in hot libraries and harnesses"
   | R3 -> "Vclock in-place ops require [@owned]"
   | R4 -> "Hashtbl iteration must be [@order_ok] in history-affecting code"
-  | R5 -> "no stdout/stderr printing in lib/; trace through Obs.emit"
+  | R5 -> "no stdout/stderr printing in lib/; trace through the Obs emitters"
   | R6 -> "no toplevel mutable state in lib/ (domain-shared across parallel runs)"
   | R7 -> "determinism taint: no nondeterminism source reachable from protocol/engine code"
   | R8 -> "[@hot] functions must not allocate closures, boxed floats, or tuples"
@@ -420,7 +420,7 @@ let check_print st ~loc name =
         ~message:
           (Printf.sprintf
              "%s prints directly from library code; emit a typed trace event \
-              through Obs.emit instead (docs/OBSERVABILITY.md), or annotate \
+              through an Obs emitter instead (docs/OBSERVABILITY.md), or annotate \
               [@print_ok] for deliberate CLI output"
              name)
 

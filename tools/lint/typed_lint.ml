@@ -952,7 +952,7 @@ let judge_ident em prog (o : occ) ~pclass ~exempt_operand name =
     emit_at em Lint.R5 o ~lexeme:name
       (Printf.sprintf
          "%s prints directly from library code; emit a typed trace event \
-          through Obs.emit instead (docs/OBSERVABILITY.md), or annotate \
+          through an Obs emitter instead (docs/OBSERVABILITY.md), or annotate \
           [@print_ok] for deliberate CLI output"
          name);
   (* R2, on the instantiated type at the use site *)
